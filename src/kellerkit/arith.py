@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .errors import DegenerateResultant, InvalidLine
 
@@ -128,102 +128,88 @@ def _horner(sorted_terms, value, one, zero):
     return acc
 
 
-class UniPoly:
-    """Sparse univariate polynomial with exact rational coefficients."""
+class _SparsePoly:
+    """Ring operations shared by UniPoly and BiPoly, on a dict from exponent
+    key to nonzero coefficient.  A subclass sets _CONST, the key of the
+    constant term, and _key, which validates one key."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_t",)
 
-    def __init__(self, coeffs: Mapping[int, Coeff] | Iterable[tuple[int, Coeff]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+    def __init__(self, terms: dict | Iterable = ()):
+        items = terms.items() if isinstance(terms, dict) else terms
         data = {}
-        for k, v in items:
-            if not isinstance(k, int) or k < 0:
-                raise ValueError("exponents must be non-negative ints, got %r" % (k,))
+        for key, v in items:
+            k = self._key(key)
+            if k is None:
+                raise ValueError("exponents must be non-negative ints, got %r" % (key,))
             v = _norm_coeff(v)
             if v:
                 data[k] = v
-        self._c = data
+        self._t = data
 
     @classmethod
-    def zero(cls) -> "UniPoly":
+    def _new(cls, data: dict):
+        """Wrap a dict already free of zero coefficients, without copying."""
+        out = cls.__new__(cls)
+        out._t = data
+        return out
+
+    @classmethod
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "UniPoly":
-        return cls({0: 1})
+    def one(cls):
+        return cls({cls._CONST: 1})
 
     @classmethod
-    def constant(cls, c: Coeff) -> "UniPoly":
-        return cls({0: c})
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls({1: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: Coeff = 1) -> "UniPoly":
-        return cls({exponent: coeff})
-
-    def degree(self):
-        return max(self._c) if self._c else NEG_INF
+    def constant(cls, c: Coeff):
+        return cls({cls._CONST: c})
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._t
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._t)
 
     def is_constant(self) -> bool:
-        return not self._c or max(self._c) == 0
+        return self._t.keys() <= {self._CONST}
 
     def constant_value(self) -> Coeff:
         if not self.is_constant():
             raise ValueError("polynomial is not constant: %s" % self.render())
-        return self._c.get(0, 0)
-
-    def lc(self) -> Coeff:
-        """Leading coefficient; 0 for the zero polynomial."""
-        return self._c[max(self._c)] if self._c else 0
-
-    def coeff(self, k: int) -> Coeff:
-        return self._c.get(k, 0)
-
-    def terms(self) -> list[tuple[int, Coeff]]:
-        """Terms sorted by descending exponent."""
-        return sorted(self._c.items(), reverse=True)
+        return self._t.get(self._CONST, 0)
 
     def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            return self._c == other._c
+        if isinstance(other, type(self)):
+            return self._t == other._t
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash(frozenset(self._t.items()))
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly({k: -v for k, v in self._c.items()})
+    def __neg__(self):
+        return self._new({k: -v for k, v in self._t.items()})
 
     def _coerce(self, other):
-        if isinstance(other, UniPoly):
+        if isinstance(other, type(self)):
             return other
         if isinstance(other, (int, Fraction)):
-            return UniPoly.constant(other)
+            return self.constant(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        data = dict(self._c)
-        for k, v in o._c.items():
+        data = dict(self._t)
+        for k, v in o._t.items():
             s = data.get(k, 0) + v
             if s:
                 data[k] = s
             else:
                 data.pop(k, None)
-        out = UniPoly.zero()
-        out._c = data
-        return out
+        return self._new(data)
 
     __radd__ = __add__
 
@@ -239,32 +225,16 @@ class UniPoly:
             return NotImplemented
         return o + (-self)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return UniPoly.zero()
-            return UniPoly({k: v * other for k, v in self._c.items()})
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        out: dict[int, Coeff] = {}
-        for k1, v1 in self._c.items():
-            for k2, v2 in other._c.items():
-                k = k1 + k2
-                s = out.get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        p = UniPoly.zero()
-        p._c = out
-        return p
+    def _scale(self, c: Coeff):
+        """Product with a scalar."""
+        if not c:
+            return self.zero()
+        return type(self)({k: v * c for k, v in self._t.items()})
 
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "UniPoly":
+    def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative int")
-        result = UniPoly.one()
+        result = self.one()
         base = self
         while e:
             if e & 1:
@@ -274,13 +244,67 @@ class UniPoly:
                 base = base * base
         return result
 
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, self.render())
+
+
+class UniPoly(_SparsePoly):
+    """Sparse univariate polynomial with exact rational coefficients."""
+
+    __slots__ = ()
+    _CONST = 0
+
+    @staticmethod
+    def _key(k):
+        return k if isinstance(k, int) and k >= 0 else None
+
+    @classmethod
+    def x(cls) -> "UniPoly":
+        return cls({1: 1})
+
+    @classmethod
+    def monomial(cls, exponent: int, coeff: Coeff = 1) -> "UniPoly":
+        return cls({exponent: coeff})
+
+    def degree(self):
+        return max(self._t) if self._t else NEG_INF
+
+    def lc(self) -> Coeff:
+        """Leading coefficient; 0 for the zero polynomial."""
+        return self._t[max(self._t)] if self._t else 0
+
+    def coeff(self, k: int) -> Coeff:
+        return self._t.get(k, 0)
+
+    def terms(self) -> list[tuple[int, Coeff]]:
+        """Terms sorted by descending exponent."""
+        return sorted(self._t.items(), reverse=True)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        out: dict[int, Coeff] = {}
+        for k1, v1 in self._t.items():
+            for k2, v2 in other._t.items():
+                k = k1 + k2
+                s = out.get(k, 0) + v1 * v2
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return UniPoly._new(out)
+
+    __rmul__ = __mul__
+
     def __divmod__(self, other: "UniPoly"):
         if not isinstance(other, UniPoly):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         q: dict[int, Coeff] = {}
-        r = dict(self._c)
+        r = dict(self._t)
         do = other.degree()
         lo = other.lc()
         while r:
@@ -290,18 +314,14 @@ class UniPoly:
             c = _cdiv(r[dr], lo)
             k = dr - do
             q[k] = c
-            for ko, vo in other._c.items():
+            for ko, vo in other._t.items():
                 kk = ko + k
                 s = r.get(kk, 0) - c * vo
                 if s:
                     r[kk] = s
                 else:
                     r.pop(kk, None)
-        quo = UniPoly.zero()
-        quo._c = q
-        rem = UniPoly.zero()
-        rem._c = r
-        return quo, rem
+        return UniPoly._new(q), UniPoly._new(r)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
@@ -316,7 +336,7 @@ class UniPoly:
         return q
 
     def derivative(self) -> "UniPoly":
-        return UniPoly({k - 1: k * v for k, v in self._c.items() if k > 0})
+        return UniPoly({k - 1: k * v for k, v in self._t.items() if k > 0})
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -324,7 +344,7 @@ class UniPoly:
         lead = self.lc()
         if lead == 1:
             return self
-        return UniPoly({k: _cdiv(v, lead) for k, v in self._c.items()})
+        return UniPoly({k: _cdiv(v, lead) for k, v in self._t.items()})
 
     def compose(self, other: "UniPoly") -> "UniPoly":
         return _horner(self.terms(), other, UniPoly.one(), UniPoly.zero())
@@ -336,13 +356,13 @@ class UniPoly:
 
     def to_bipoly(self, axis: str = "x") -> "BiPoly":
         if axis == "x":
-            return BiPoly({(k, 0): v for k, v in self._c.items()})
+            return BiPoly({(k, 0): v for k, v in self._t.items()})
         if axis == "y":
-            return BiPoly({(0, k): v for k, v in self._c.items()})
+            return BiPoly({(0, k): v for k, v in self._t.items()})
         raise ValueError("axis must be 'x' or 'y'")
 
     def render(self, var: str = "x") -> str:
-        if not self._c:
+        if not self._t:
             return "0"
         rendered = []
         for k, c in self.terms():
@@ -351,9 +371,6 @@ class UniPoly:
             mono = "" if k == 0 else (var if k == 1 else "%s^%d" % (var, k))
             rendered.append((neg, _term_body(mag, mono)))
         return _join_terms(rendered)
-
-    def __repr__(self):
-        return "UniPoly(%r)" % self.render()
 
 
 def gcd_univariate(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -364,36 +381,18 @@ def gcd_univariate(p: UniPoly, q: UniPoly) -> UniPoly:
     return a.monic()
 
 
-class BiPoly:
+class BiPoly(_SparsePoly):
     """Sparse bivariate polynomial in x and y with exact rational coefficients."""
 
-    __slots__ = ("_t",)
+    __slots__ = ()
+    _CONST = (0, 0)
 
-    def __init__(
-        self, terms: Mapping[tuple[int, int], Coeff] | Iterable = ()
-    ):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        data = {}
-        for key, v in items:
-            i, j = key
-            if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
-                raise ValueError("exponents must be non-negative ints, got %r" % (key,))
-            v = _norm_coeff(v)
-            if v:
-                data[(i, j)] = v
-        self._t = data
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "BiPoly":
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def constant(cls, c: Coeff) -> "BiPoly":
-        return cls({(0, 0): c})
+    @staticmethod
+    def _key(key):
+        i, j = key
+        if isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0:
+            return (i, j)
+        return None
 
     @classmethod
     def x(cls) -> "BiPoly":
@@ -411,20 +410,6 @@ class BiPoly:
 
     def degree_y(self):
         return max(j for _, j in self._t) if self._t else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self._t
-
-    def __bool__(self) -> bool:
-        return bool(self._t)
-
-    def is_constant(self) -> bool:
-        return not self._t or self._t.keys() <= {(0, 0)}
-
-    def constant_value(self) -> Coeff:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant: %s" % self.render())
-        return self._t.get((0, 0), 0)
 
     def coeff(self, i: int, j: int) -> Coeff:
         return self._t.get((i, j), 0)
@@ -451,58 +436,9 @@ class BiPoly:
         d = self.total_degree()
         return BiPoly({k: v for k, v in self._t.items() if k[0] + k[1] == d})
 
-    def __eq__(self, other):
-        if isinstance(other, BiPoly):
-            return self._t == other._t
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._t.items()))
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -v for k, v in self._t.items()})
-
-    def _coerce(self, other):
-        if isinstance(other, BiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BiPoly.constant(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        data = dict(self._t)
-        for k, v in o._t.items():
-            s = data.get(k, 0) + v
-            if s:
-                data[k] = s
-            else:
-                data.pop(k, None)
-        out = BiPoly.zero()
-        out._t = data
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return BiPoly.zero()
-            return BiPoly({k: v * other for k, v in self._t.items()})
+            return self._scale(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
         out: dict[tuple[int, int], Coeff] = {}
@@ -514,24 +450,9 @@ class BiPoly:
                     out[k] = s
                 else:
                     del out[k]
-        p = BiPoly.zero()
-        p._t = out
-        return p
+        return BiPoly._new(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "BiPoly":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative int")
-        result = BiPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def diff(self, var: str) -> "BiPoly":
         if var == "x":
@@ -573,9 +494,6 @@ class BiPoly:
                 pieces.append("y" if j == 1 else "y^%d" % j)
             rendered.append((neg, _term_body(mag, "*".join(pieces))))
         return _join_terms(rendered)
-
-    def __repr__(self):
-        return "BiPoly(%r)" % self.render()
 
 
 class Substitution:
@@ -653,8 +571,20 @@ def jacobian_det(H: PolyMap) -> BiPoly:
     return H.first.diff("x") * H.second.diff("y") - H.first.diff("y") * H.second.diff("x")
 
 
-def total_degree(p: BiPoly):
-    return p.total_degree()
+@dataclass(frozen=True)
+class KellerReport:
+    jacobian: BiPoly
+    is_keller: bool
+
+    def to_json_dict(self) -> dict:
+        return {"jacobian": self.jacobian.render(), "is_keller": self.is_keller}
+
+
+def is_keller(H: PolyMap) -> KellerReport:
+    """Is the Jacobian determinant of H a nonzero constant?  The one Keller
+    gate: every operation that needs the hypothesis asks it here."""
+    jac = jacobian_det(H)
+    return KellerReport(jacobian=jac, is_keller=jac.is_constant() and not jac.is_zero())
 
 
 @dataclass(frozen=True)
@@ -728,10 +658,7 @@ def restrict_to_line(H: PolyMap, line: Line):
     {y = 0} onto the line and gamma(t) = H(L(t, 0)).
     """
     L = line_parametrization(line)
-    s1, s2 = L.apply((UniPoly.x(), UniPoly.zero()))
-    sub = Substitution(s1, s2)
-    gamma = Parametrization(sub.apply(H.first), sub.apply(H.second))
-    return gamma, L
+    return polymap_on_param(H, Parametrization(*L.apply((UniPoly.x(), UniPoly.zero())))), L
 
 
 # ---------------------------------------------------------------------------
@@ -750,12 +677,7 @@ def _y_coeff_list(p: BiPoly) -> list[UniPoly]:
     rows: list[dict[int, Coeff]] = [{} for _ in range(d + 1)]
     for (i, j), c in p._t.items():
         rows[d - j][i] = c
-    out = []
-    for row in rows:
-        u = UniPoly.zero()
-        u._c = row
-        out.append(u)
-    return out
+    return [UniPoly._new(row) for row in rows]
 
 
 def _lstrip(f: list[UniPoly]) -> list[UniPoly]:
@@ -886,11 +808,9 @@ def _from_y_coeff_list(f: list[UniPoly]) -> BiPoly:
     terms: dict[tuple[int, int], Coeff] = {}
     for idx, u in enumerate(f):
         j = d - idx
-        for i, c in u._c.items():
+        for i, c in u._t.items():
             terms[(i, j)] = c
-    out = BiPoly.zero()
-    out._t = terms
-    return out
+    return BiPoly._new(terms)
 
 
 def normalize_leading(p: BiPoly) -> BiPoly:

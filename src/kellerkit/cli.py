@@ -41,14 +41,12 @@ from .errors import (
     PreconditionViolated,
     TheoremViolationWitness,
 )
-from .keller import is_keller, prove_line, verify_certificate
+from .keller import is_keller, prove_line, verified_inverse
 from .newton import newton_polygon, similarity_check
 from .tame import (
-    AffineFactor,
-    ElementaryFactor,
-    Factorization,
     NotAutomorphism,
     decide_automorphism,
+    factorization_from_json,
     factorization_inverse,
     factorization_to_map,
     random_tame,
@@ -206,27 +204,6 @@ def parse_unipoly(text: str) -> UniPoly:
     return _Parser(text, ("x",)).parse().as_unipoly_in_x()
 
 
-def factorization_from_json(data: list) -> Factorization:
-    """Rebuild a factor word from its JSON form."""
-    word = []
-    for item in data:
-        kind = item["kind"]
-        if kind == "affine":
-            (m11, m12), (m21, m22) = item["matrix"]
-            t1, t2 = item["translation"]
-            word.append(
-                AffineFactor(
-                    Fraction(*m11), Fraction(*m12), Fraction(*m21), Fraction(*m22),
-                    Fraction(*t1), Fraction(*t2),
-                )
-            )
-        elif kind == "elementary":
-            word.append(ElementaryFactor(item["axis"], parse_unipoly(item["shift"])))
-        else:
-            raise ValueError("unknown factor kind %r" % kind)
-    return Factorization(tuple(word))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -276,16 +253,24 @@ def _cmd_similar(args) -> int:
     return 0
 
 
+def _recognize(args):
+    """The factor word of the map in args; None, after printing the
+    negative answer, when it is not recognized as an automorphism."""
+    result = decide_automorphism(PolyMap(parse_bipoly(args.first), parse_bipoly(args.second)))
+    if not isinstance(result, NotAutomorphism):
+        return result
+    if args.json:
+        _print_json(result.to_json_dict())
+    else:
+        print("automorphism: false")
+        print("reason: %s" % result.reason)
+        print("residual: %s" % result.residual.render())
+    return None
+
+
 def _cmd_is_auto(args) -> int:
-    H = PolyMap(parse_bipoly(args.first), parse_bipoly(args.second))
-    result = decide_automorphism(H)
-    if isinstance(result, NotAutomorphism):
-        if args.json:
-            _print_json(result.to_json_dict())
-        else:
-            print("automorphism: false")
-            print("reason: %s" % result.reason)
-            print("residual: %s" % result.residual.render())
+    result = _recognize(args)
+    if result is None:
         return 2
     if args.json:
         _print_json({"automorphism": True, "factorization": result.to_json_list()})
@@ -298,15 +283,8 @@ def _cmd_is_auto(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    H = PolyMap(parse_bipoly(args.first), parse_bipoly(args.second))
-    result = decide_automorphism(H)
-    if isinstance(result, NotAutomorphism):
-        if args.json:
-            _print_json(result.to_json_dict())
-        else:
-            print("automorphism: false")
-            print("reason: %s" % result.reason)
-            print("residual: %s" % result.residual.render())
+    result = _recognize(args)
+    if result is None:
         return 2
     inverse_word = factorization_inverse(result)
     inverse_map = factorization_to_map(inverse_word)
@@ -363,10 +341,9 @@ def _cmd_prove_line(args) -> int:
         # Re-read and replay the certificate so the written file is known
         # to be consumable, not just written.
         with open(args.certificate, "r", encoding="utf-8") as handle:
-            stored = json.load(handle)
-        inverted = next(s for s in stored if s["step"] == "inverted")
-        reread = factorization_from_json(inverted["factorization"])
-        if factorization_to_map(reread) != H or not verify_certificate(cert, H):
+            stored = {s["step"]: s for s in json.load(handle)}
+        reread = factorization_from_json(stored["inverted"]["factorization"])
+        if not stored["final_check"]["verified"] or verified_inverse(reread, H) is None:
             print("error: certificate failed replay", file=sys.stderr)
             return 4
     if args.json:
@@ -387,19 +364,17 @@ def _cmd_prove_line(args) -> int:
 
 
 def _cmd_gen_auto(args) -> int:
-    if args.factors < 0 or args.max_deg < 1 or args.coeff_bound < 1:
-        print(
-            "error: --factors must be >= 0, --max-deg and --coeff-bound >= 1",
-            file=sys.stderr,
+    try:
+        word = random_tame(
+            args.seed,
+            args.factors,
+            args.max_deg,
+            args.coeff_bound,
+            affine_probability=args.affine_probability,
         )
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 3
-    word = random_tame(
-        args.seed,
-        args.factors,
-        args.max_deg,
-        args.coeff_bound,
-        affine_probability=args.affine_probability,
-    )
     if args.json:
         _print_json({"factorization": word.to_json_list()})
     else:
@@ -490,9 +465,32 @@ def build_parser() -> argparse.ArgumentParser:
         "--affine-probability",
         type=float,
         default=0.25,
-        help="chance of an affine factor per slot (0 disables)",
+        help="chance of an affine factor per slot, from 0 (none) to 1",
     )
     return ap
+
+
+# Exceptions a command may raise, in the order they are matched, with the
+# exit code and the payload.  A string payload is the prefix of a message
+# on stderr; a function payload gives the (error code, extra fields) of a
+# negative answer on stdout.
+_ERRORS = (
+    ((ParseError, DenominatorZero, InvalidLine, OSError), 3, "error"),
+    ((HypothesisViolated,), 2, lambda exc: (exc.reason, {})),
+    ((PreconditionViolated,), 2, lambda exc: (exc.condition, {})),
+    (
+        (JacobianNotConstant,), 2,
+        lambda exc: ("JacobianNotConstant", {"jacobian": exc.jacobian.render()}),
+    ),
+    (
+        (NotInjectiveOnLine,), 2,
+        lambda exc: ("NotInjectiveOnLine", {
+            "witness": exc.witness.render() if exc.witness is not None else None
+        }),
+    ),
+    ((NotAnEmbedding,), 2, lambda exc: ("NotAnEmbedding", exc.report.to_json_dict())),
+    ((AbhyankarMohViolation, TheoremViolationWitness), 4, "internal contradiction"),
+)
 
 
 def main(argv=None) -> int:
@@ -501,48 +499,19 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 3
-    as_json = getattr(args, "json", False)
-
-    def report_negative(error_code: str, message: str, extra=None) -> None:
-        if as_json:
-            payload = {"error": error_code, "message": message}
-            if extra:
-                payload.update(extra)
-            _print_json(payload)
-        else:
-            print("%s: %s" % (error_code, message))
-
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, DenominatorZero) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except InvalidLine as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except HypothesisViolated as exc:
-        report_negative(exc.reason, str(exc))
-        return 2
-    except PreconditionViolated as exc:
-        report_negative(exc.condition, str(exc))
-        return 2
-    except JacobianNotConstant as exc:
-        report_negative(
-            "JacobianNotConstant",
-            str(exc),
-            {"jacobian": exc.jacobian.render()},
-        )
-        return 2
-    except NotInjectiveOnLine as exc:
-        witness = exc.witness.render() if exc.witness is not None else None
-        report_negative("NotInjectiveOnLine", str(exc), {"witness": witness})
-        return 2
-    except NotAnEmbedding as exc:
-        report_negative("NotAnEmbedding", str(exc), exc.report.to_json_dict())
-        return 2
-    except (AbhyankarMohViolation, TheoremViolationWitness) as exc:
-        print("internal contradiction: %s" % exc, file=sys.stderr)
-        return 4
+    except tuple(t for types, _, _ in _ERRORS for t in types) as exc:
+        _, code, payload = next(row for row in _ERRORS if isinstance(exc, row[0]))
+        if isinstance(payload, str):
+            print("%s: %s" % (payload, exc), file=sys.stderr)
+            return code
+        error_code, extra = payload(exc)
+        if args.json:
+            _print_json({"error": error_code, "message": str(exc), **extra})
+        else:
+            print("%s: %s" % (error_code, exc))
+        return code
 
 
 def entry() -> None:

@@ -16,8 +16,10 @@ of the argument:
    contradiction is raised as TheoremViolationWitness with the polygons
    attached rather than assumed impossible;
 7. the low-degree map inverts directly, giving a factor word for H;
-8. both compositions of H with the assembled inverse are checked to be
-   the identity, symbolically.
+8. the final check, run once on H: the assembled word recomposes to H,
+   and both compositions of H with its inverse are the identity,
+   symbolically.  A wrong word for G would fail here too, so G gets no
+   check of its own.
 
 Every check is exact; no step trusts a previous session's output.
 """
@@ -28,15 +30,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
-    BiPoly,
     Coeff,
+    KellerReport,
     Line,
     Parametrization,
     PolyMap,
     UniPoly,
     compose_map,
     frac_pair,
-    jacobian_det,
+    is_keller,
     restrict_to_line,
 )
 from .embedding import EmbeddingReport, is_embedding, is_injective_param, rectify
@@ -50,26 +52,12 @@ from .newton import newton_polygon, similarity_check
 from .tame import (
     AffineFactor,
     Factorization,
+    _invert_low_degree,
+    _require_keller,
     apply_factors,
     factorization_inverse,
     factorization_to_map,
-    invert_low_degree,
 )
-
-
-@dataclass(frozen=True)
-class KellerReport:
-    jacobian: BiPoly
-    is_keller: bool
-
-    def to_json_dict(self) -> dict:
-        return {"jacobian": self.jacobian.render(), "is_keller": self.is_keller}
-
-
-def is_keller(H: PolyMap) -> KellerReport:
-    """Is the Jacobian determinant of H a nonzero constant?"""
-    jac = jacobian_det(H)
-    return KellerReport(jacobian=jac, is_keller=jac.is_constant() and not jac.is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +115,20 @@ class EmbeddingVerified:
 
 
 @dataclass(frozen=True)
-class Rectified:
-    word: Factorization
+class _WordStep:
+    """A step that records a factor word."""
 
-    step = "rectified"
+    word: Factorization
 
     def to_json_dict(self) -> dict:
         return {"step": self.step, "factorization": self.word.to_json_list()}
 
     def render(self) -> str:
-        return "rectified: %d factors" % len(self.word)
+        return "%s: %d factors" % (self.step, len(self.word))
+
+
+class Rectified(_WordStep):
+    step = "rectified"
 
 
 @dataclass(frozen=True)
@@ -165,17 +157,8 @@ class DegreeCollapse:
         return "degree_collapse: min degree %d" % self.min_degree
 
 
-@dataclass(frozen=True)
-class Inverted:
-    word: Factorization
-
+class Inverted(_WordStep):
     step = "inverted"
-
-    def to_json_dict(self) -> dict:
-        return {"step": self.step, "factorization": self.word.to_json_list()}
-
-    def render(self) -> str:
-        return "inverted: %d factors" % len(self.word)
 
 
 @dataclass(frozen=True)
@@ -208,25 +191,25 @@ class Certificate:
         return "\n".join(s.render() for s in self.steps)
 
 
+def verified_inverse(word: Factorization, H: PolyMap) -> PolyMap | None:
+    """The final check: H's inverse map when word recomposes to H and its
+    inverse cancels H symbolically on both sides, None otherwise."""
+    if factorization_to_map(word) != H:
+        return None
+    inv = factorization_to_map(factorization_inverse(word))
+    if compose_map(inv, H).is_identity() and compose_map(H, inv).is_identity():
+        return inv
+    return None
+
+
 def verify_certificate(cert: Certificate, H: PolyMap) -> bool:
-    """Replay a certificate against H: the inverse word must recompose to
-    H and cancel it symbolically on both sides."""
+    """Replay a certificate against H: its final check must be recorded as
+    passed, and its inverse word must pass verified_inverse."""
     final = cert.find(FinalCheck)
     inverted = cert.find(Inverted)
     if final is None or inverted is None or not final.verified:
         return False
-    word = inverted.word
-    if factorization_to_map(word) != H:
-        return False
-    inv = factorization_to_map(factorization_inverse(word))
-    return compose_map(inv, H).is_identity() and compose_map(H, inv).is_identity()
-
-
-def _check_keller(H: PolyMap) -> BiPoly:
-    jac = jacobian_det(H)
-    if not jac.is_constant() or jac.is_zero():
-        raise JacobianNotConstant(jac)
-    return jac
+    return verified_inverse(inverted.word, H) is not None
 
 
 def fixed_axis_invert(H: PolyMap) -> tuple[Factorization, Certificate]:
@@ -241,20 +224,32 @@ def fixed_axis_invert(H: PolyMap) -> tuple[Factorization, Certificate]:
     impossible configuration is ever observed it is raised as
     TheoremViolationWitness carrying both polygons.
     """
-    jac = jacobian_det(H)
-    if not jac.is_constant() or jac.is_zero():
-        raise PreconditionViolated(
-            "JacobianNotConstant", "jacobian is %s" % jac.render()
+    jac = _require_keller(H)
+    axis_images = (("first", H.first, UniPoly.x()), ("second", H.second, UniPoly.zero()))
+    for name, comp, image in axis_images:
+        if comp.on_x_axis() != image:
+            raise PreconditionViolated(
+                "AxisNotFixed",
+                "H(x, 0) has %s component %s" % (name, comp.on_x_axis().render("x")),
+            )
+    word, min_degree = _fixed_axis_word(H)
+    ok = verified_inverse(word, H) is not None
+    cert = Certificate(
+        (
+            JacobianConstant(jac.constant_value()),
+            DegreeCollapse(min_degree),
+            Inverted(word),
+            FinalCheck(ok),
         )
+    )
+    assert ok, "inverse word failed the symbolic final check"
+    return word, cert
+
+
+def _fixed_axis_word(H: PolyMap) -> tuple[Factorization, int]:
+    """The factor word of a Keller map fixing the first axis pointwise,
+    and its min degree; the caller holds both preconditions."""
     f, g = H.first, H.second
-    if f.on_x_axis() != UniPoly.x():
-        raise PreconditionViolated(
-            "AxisNotFixed", "H(x, 0) has first component %s" % f.on_x_axis().render("x")
-        )
-    if not g.on_x_axis().is_zero():
-        raise PreconditionViolated(
-            "AxisNotFixed", "H(x, 0) has second component %s" % g.on_x_axis().render("x")
-        )
     df, dg = f.total_degree(), g.total_degree()
     if min(df, dg) > 1:
         report = similarity_check(f, g)
@@ -269,19 +264,7 @@ def fixed_axis_invert(H: PolyMap) -> tuple[Factorization, Certificate]:
                 "axis_point_in_n_g": n_g.contains((r, 0)),
             },
         )
-    word = invert_low_degree(H)
-    inv = factorization_to_map(factorization_inverse(word))
-    ok = compose_map(inv, H).is_identity() and compose_map(H, inv).is_identity()
-    cert = Certificate(
-        (
-            JacobianConstant(jac.constant_value()),
-            DegreeCollapse(min(df, dg)),
-            Inverted(word),
-            FinalCheck(ok),
-        )
-    )
-    assert ok, "inverse word failed the symbolic final check"
-    return word, cert
+    return _invert_low_degree(H), min(df, dg)
 
 
 def prove_line(
@@ -303,8 +286,10 @@ def prove_line(
         early = is_injective_param(gamma_early)
         if not early.ok:
             raise NotInjectiveOnLine(early.witness)
-    jac = _check_keller(H)
-    steps = [JacobianConstant(jac.constant_value())]
+    gate = is_keller(H)
+    if not gate.is_keller:
+        raise JacobianNotConstant(gate.jacobian)
+    steps = [JacobianConstant(gate.jacobian.constant_value())]
 
     gamma, L = restrict_to_line(H, line)
     steps.append(LineRestriction(gamma, L))
@@ -336,19 +321,18 @@ def prove_line(
     )
     steps.append(AxisFixed(G))
 
-    word_g, inner = fixed_axis_invert(G)
-    steps.append(inner.find(DegreeCollapse))
+    # G's Jacobian is a constant multiple of H's, so G is Keller too.
+    word_g, min_degree = _fixed_axis_word(G)
+    steps.append(DegreeCollapse(min_degree))
 
     l_inv = L.inverse()
     tail = () if l_inv.is_identity() else (l_inv,)
     word_h = Factorization(
         factorization_inverse(phi).factors + word_g.factors + tail
     )
-    assert factorization_to_map(word_h) == H, "assembled word fails to recompose"
     steps.append(Inverted(word_h))
 
-    inv_map = factorization_to_map(factorization_inverse(word_h))
-    ok = compose_map(inv_map, H).is_identity() and compose_map(H, inv_map).is_identity()
-    steps.append(FinalCheck(ok))
-    assert ok, "assembled inverse failed the symbolic final check"
+    inv_map = verified_inverse(word_h, H)
+    steps.append(FinalCheck(inv_map is not None))
+    assert inv_map is not None, "assembled inverse failed the symbolic final check"
     return inv_map, word_h, Certificate(tuple(steps))

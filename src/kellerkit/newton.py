@@ -16,15 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import BiPoly, PolyMap, jacobian_det
+from .arith import BiPoly, PolyMap, is_keller
 from .errors import HypothesisViolated, NonPositiveFactor
 
 Point = tuple[Fraction, Fraction]
-
-
-def support(p: BiPoly) -> set[tuple[int, int]]:
-    """Exponent pairs with nonzero coefficient."""
-    return set(p.support())
 
 
 def _cross(o: Point, a: Point, b: Point) -> Fraction:
@@ -136,10 +131,6 @@ def newton_polygon(p: BiPoly) -> Polygon:
     return Polygon.from_points(pts)
 
 
-def polygon_equal(a: Polygon, b: Polygon) -> bool:
-    return a.vertices == b.vertices
-
-
 def scale_polygon(p: Polygon, factor) -> Polygon:
     """Dilation by a positive rational factor about the origin."""
     f = Fraction(factor)
@@ -180,13 +171,14 @@ def similarity_check(f: BiPoly, g: BiPoly) -> SimilarityReport:
         raise HypothesisViolated("DegreeTooLow", "deg f = %s, need > 1" % df)
     if dg <= 1:
         raise HypothesisViolated("DegreeTooLow", "deg g = %s, need > 1" % dg)
-    jac = jacobian_det(PolyMap(f, g))
-    if not jac.is_constant() or jac.is_zero():
+    gate = is_keller(PolyMap(f, g))
+    jac = gate.jacobian
+    if not gate.is_keller:
         raise HypothesisViolated(
             "JacobianNotConstant", "jacobian is %s" % jac.render()
         )
     n_f = newton_polygon(f)
     n_g = newton_polygon(g)
     factor = Fraction(dg, df)
-    similar = polygon_equal(n_g, scale_polygon(n_f, factor))
+    similar = n_g == scale_polygon(n_f, factor)
     return SimilarityReport(similar=similar, factor=factor, n_f=n_f, n_g=n_g, jacobian=jac)

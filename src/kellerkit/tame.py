@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 from .arith import (
@@ -31,7 +32,7 @@ from .arith import (
     _cdiv,
     _horner,
     frac_pair,
-    jacobian_det,
+    is_keller,
 )
 from .errors import PreconditionViolated
 
@@ -188,6 +189,29 @@ def factorization_inverse(word: Factorization) -> Factorization:
     return Factorization(tuple(f.inverse() for f in reversed(word.factors)))
 
 
+def factorization_from_json(data: list) -> Factorization:
+    """Rebuild a factor word from its JSON form."""
+    from .cli import parse_unipoly
+
+    word = []
+    for item in data:
+        kind = item["kind"]
+        if kind == "affine":
+            (m11, m12), (m21, m22) = item["matrix"]
+            t1, t2 = item["translation"]
+            word.append(
+                AffineFactor(
+                    Fraction(*m11), Fraction(*m12), Fraction(*m21), Fraction(*m22),
+                    Fraction(*t1), Fraction(*t2),
+                )
+            )
+        elif kind == "elementary":
+            word.append(ElementaryFactor(item["axis"], parse_unipoly(item["shift"])))
+        else:
+            raise ValueError("unknown factor kind %r" % kind)
+    return Factorization(tuple(word))
+
+
 @dataclass(frozen=True)
 class NotAutomorphism:
     """Recognition failure: why, and the map left when reduction stopped."""
@@ -213,6 +237,17 @@ class NotAutomorphism:
         return out
 
 
+def _require_keller(H: PolyMap) -> BiPoly:
+    """The constant Jacobian of H, as a precondition: PreconditionViolated
+    with condition JacobianNotConstant when H is not Keller."""
+    gate = is_keller(H)
+    if not gate.is_keller:
+        raise PreconditionViolated(
+            "JacobianNotConstant", "jacobian is %s" % gate.jacobian.render()
+        )
+    return gate.jacobian
+
+
 def invert_low_degree(H: PolyMap) -> Factorization:
     """Factor an automorphism with min(deg f, deg g) <= 1.
 
@@ -221,18 +256,19 @@ def invert_low_degree(H: PolyMap) -> Factorization:
     composition of at most two affine factors and one elementary factor,
     which this returns (identity factors dropped).
     """
-    jac = jacobian_det(H)
-    if not jac.is_constant() or jac.is_zero():
-        raise PreconditionViolated(
-            "JacobianNotConstant", "jacobian is %s" % jac.render()
-        )
-    f, g = H.first, H.second
-    df, dg = f.total_degree(), g.total_degree()
-    if min(df, dg) > 1:
+    _require_keller(H)
+    if min(H.first.total_degree(), H.second.total_degree()) > 1:
         raise PreconditionViolated(
             "DegreeTooHigh", "both components have degree > 1"
         )
-    # A constant component would force a zero Jacobian, caught above.
+    return _invert_low_degree(H)
+
+
+def _invert_low_degree(H: PolyMap) -> Factorization:
+    """invert_low_degree for a caller that already holds its preconditions."""
+    f, g = H.first, H.second
+    df, dg = f.total_degree(), g.total_degree()
+    # A constant component would force a zero Jacobian.
     assert df >= 1 and dg >= 1
 
     if df <= 1 and dg <= 1:
@@ -307,8 +343,9 @@ def decide_automorphism(H: PolyMap):
     Returns a Factorization whose composition equals H, or a
     NotAutomorphism value explaining where recognition stopped.
     """
-    jac = jacobian_det(H)
-    if not jac.is_constant() or jac.is_zero():
+    gate = is_keller(H)
+    jac = gate.jacobian
+    if not gate.is_keller:
         return NotAutomorphism("JacobianNotConstant", H, jac)
     f, g = H.first, H.second
     peeled: list[Factor] = []
@@ -327,10 +364,8 @@ def decide_automorphism(H: PolyMap):
         d = dh // dl
         target = lo.leading_form() ** d
         key, lead_c = target.leading_term()
-        top_c = hi.coeff(*key)
-        if not top_c:
-            return NotAutomorphism("ReductionFailed", PolyMap(f, g), jac)
-        lam = _cdiv(top_c, lead_c)
+        # lam = 0 when hi lacks the term, and then the forms differ.
+        lam = _cdiv(hi.coeff(*key), lead_c)
         if hi.leading_form() != target * lam:
             return NotAutomorphism("ReductionFailed", PolyMap(f, g), jac)
         reduced = hi - (lo**d) * lam
@@ -341,7 +376,9 @@ def decide_automorphism(H: PolyMap):
             f = reduced
         else:
             g = reduced
-    tail = invert_low_degree(PolyMap(f, g))
+    # Peeling elementary factors keeps the Jacobian, so the residual is
+    # Keller with a component of degree at most 1.
+    tail = _invert_low_degree(PolyMap(f, g))
     word = Factorization(tuple(peeled) + tail.factors)
     assert factorization_to_map(word) == H, "recognized word fails to recompose"
     return word
@@ -369,6 +406,8 @@ def random_tame(
         raise ValueError("max_shift_degree must be >= 1")
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
+    if not 0 <= affine_probability <= 1:
+        raise ValueError("affine_probability must be between 0 and 1")
     rng = random.Random(seed)
     word: list[Factor] = []
     axis = rng.choice(_AXES)

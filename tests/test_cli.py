@@ -350,6 +350,15 @@ class TestCommands:
         H = PolyMap(parse_bipoly("x + y^2"), parse_bipoly("y"))
         assert factorization_to_map(word) == H
 
+    def test_prove_line_unwritable_certificate(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "cert.json"
+        args = ["prove-line", "x + y^2", "y", "--line", "0,1,0", "--certificate", str(path)]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not path.exists()
+
     def test_gen_auto_deterministic(self, capsys):
         assert main(["gen-auto", "--seed", "9", "--factors", "3"]) == 0
         first = capsys.readouterr().out
@@ -367,6 +376,17 @@ class TestCommands:
         assert "error" in capsys.readouterr().err
         assert main(["gen-auto", "--seed", "1", "--factors", "2", "--max-deg", "0"]) == 3
         capsys.readouterr()
+
+    def test_gen_auto_affine_probability_range(self, capsys):
+        base = ["gen-auto", "--seed", "1", "--factors", "3", "--affine-probability"]
+        for bad in ["2", "-0.1", "nan"]:
+            assert main(base + [bad]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+        for good in ["0", "1"]:
+            assert main(base + [good]) == 0
+            capsys.readouterr()
 
 
 class TestExitCodes:

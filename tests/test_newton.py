@@ -13,10 +13,8 @@ from kellerkit import (
     compose_map,
     factorization_to_map,
     newton_polygon,
-    polygon_equal,
     scale_polygon,
     similarity_check,
-    support,
 )
 
 from conftest import draw_tame_word
@@ -58,8 +56,8 @@ class TestHull:
         assert newton_polygon(p).vertices == ((0, 0), (3, 0), (0, 2))
 
     def test_support(self):
-        assert support(bp((2, 1, 5), (0, 0, -1))) == {(2, 1), (0, 0)}
-        assert support(BiPoly.zero()) == set()
+        assert bp((2, 1, 5), (0, 0, -1)).support() == {(2, 1), (0, 0)}
+        assert BiPoly.zero().support() == set()
 
     def test_hull_properties_random(self):
         rng = random.Random(7)
@@ -132,7 +130,7 @@ class TestPolygon:
     def test_equality_and_hash(self):
         a = Polygon([(0, 0), (2, 0), (0, 2)])
         b = Polygon.from_points([(0, 0), (1, 0), (2, 0), (0, 2), (1, 1)])
-        assert polygon_equal(a, b)
+        assert a.vertices == b.vertices
         assert a == b
         assert len({a, b}) == 1
 

@@ -326,6 +326,13 @@ class TestRandomTame:
         with pytest.raises(ValueError):
             random_tame(1, 2, 3, 0)
 
+    def test_affine_probability_range(self):
+        for bad in (2, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                random_tame(1, 2, 3, 4, affine_probability=bad)
+        assert len(random_tame(1, 2, 3, 4, affine_probability=0)) == 2
+        assert len(random_tame(1, 2, 3, 4, affine_probability=1)) == 2
+
     def test_elementary_only_alternates_axes(self):
         for seed in range(10):
             word = random_tame(seed, 6, 3, 4, affine_probability=0.0)
