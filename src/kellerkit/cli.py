@@ -44,9 +44,11 @@ from .errors import (
 from .keller import is_keller, prove_line, verified_inverse
 from .newton import newton_polygon, similarity_check
 from .tame import (
+    AffineFactor,
+    ElementaryFactor,
+    Factorization,
     NotAutomorphism,
     decide_automorphism,
-    factorization_from_json,
     factorization_inverse,
     factorization_to_map,
     random_tame,
@@ -202,6 +204,27 @@ def parse_bipoly(text: str) -> BiPoly:
 def parse_unipoly(text: str) -> UniPoly:
     """Parse a univariate polynomial in x."""
     return _Parser(text, ("x",)).parse().as_unipoly_in_x()
+
+
+def factorization_from_json(data: list) -> Factorization:
+    """Rebuild a factor word from its JSON form."""
+    word = []
+    for item in data:
+        kind = item["kind"]
+        if kind == "affine":
+            (m11, m12), (m21, m22) = item["matrix"]
+            t1, t2 = item["translation"]
+            word.append(
+                AffineFactor(
+                    Fraction(*m11), Fraction(*m12), Fraction(*m21), Fraction(*m22),
+                    Fraction(*t1), Fraction(*t2),
+                )
+            )
+        elif kind == "elementary":
+            word.append(ElementaryFactor(item["axis"], parse_unipoly(item["shift"])))
+        else:
+            raise ValueError("unknown factor kind %r" % kind)
+    return Factorization(tuple(word))
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ of the argument:
    contradiction is raised as TheoremViolationWitness with the polygons
    attached rather than assumed impossible;
 7. the low-degree map inverts directly, giving a factor word for H;
-8. the final check, run once on H: the assembled word recomposes to H,
-   and both compositions of H with its inverse are the identity,
-   symbolically.  A wrong word for G would fail here too, so G gets no
-   check of its own.
+8. the final check: the assembled word recomposes to H, and both
+   compositions of H with its inverse are the identity, symbolically.
+   G's word has already passed the same cancellation test inside
+   fixed_axis_invert.
 
 Every check is exact; no step trusts a previous session's output.
 """
@@ -52,11 +52,11 @@ from .newton import newton_polygon, similarity_check
 from .tame import (
     AffineFactor,
     Factorization,
-    _invert_low_degree,
     _require_keller,
     apply_factors,
     factorization_inverse,
     factorization_to_map,
+    invert_low_degree,
 )
 
 
@@ -191,15 +191,22 @@ class Certificate:
         return "\n".join(s.render() for s in self.steps)
 
 
-def verified_inverse(word: Factorization, H: PolyMap) -> PolyMap | None:
-    """The final check: H's inverse map when word recomposes to H and its
-    inverse cancels H symbolically on both sides, None otherwise."""
-    if factorization_to_map(word) != H:
-        return None
+def _cancelling_inverse(word: Factorization, H: PolyMap) -> PolyMap | None:
+    """The map of word's inverse when it cancels H symbolically on both
+    sides, None otherwise."""
     inv = factorization_to_map(factorization_inverse(word))
     if compose_map(inv, H).is_identity() and compose_map(H, inv).is_identity():
         return inv
     return None
+
+
+def verified_inverse(word: Factorization, H: PolyMap) -> PolyMap | None:
+    """The final check: H's inverse map when word recomposes to H and its
+    inverse cancels H on both sides, None otherwise.  Recomposing first
+    rejects a wrong word before the two compositions."""
+    if factorization_to_map(word) != H:
+        return None
+    return _cancelling_inverse(word, H)
 
 
 def verify_certificate(cert: Certificate, H: PolyMap) -> bool:
@@ -232,23 +239,6 @@ def fixed_axis_invert(H: PolyMap) -> tuple[Factorization, Certificate]:
                 "AxisNotFixed",
                 "H(x, 0) has %s component %s" % (name, comp.on_x_axis().render("x")),
             )
-    word, min_degree = _fixed_axis_word(H)
-    ok = verified_inverse(word, H) is not None
-    cert = Certificate(
-        (
-            JacobianConstant(jac.constant_value()),
-            DegreeCollapse(min_degree),
-            Inverted(word),
-            FinalCheck(ok),
-        )
-    )
-    assert ok, "inverse word failed the symbolic final check"
-    return word, cert
-
-
-def _fixed_axis_word(H: PolyMap) -> tuple[Factorization, int]:
-    """The factor word of a Keller map fixing the first axis pointwise,
-    and its min degree; the caller holds both preconditions."""
     f, g = H.first, H.second
     df, dg = f.total_degree(), g.total_degree()
     if min(df, dg) > 1:
@@ -264,7 +254,18 @@ def _fixed_axis_word(H: PolyMap) -> tuple[Factorization, int]:
                 "axis_point_in_n_g": n_g.contains((r, 0)),
             },
         )
-    return _invert_low_degree(H), min(df, dg)
+    word = invert_low_degree(H)
+    ok = _cancelling_inverse(word, H) is not None
+    cert = Certificate(
+        (
+            JacobianConstant(jac.constant_value()),
+            DegreeCollapse(min(df, dg)),
+            Inverted(word),
+            FinalCheck(ok),
+        )
+    )
+    assert ok, "inverse word failed the symbolic final check"
+    return word, cert
 
 
 def prove_line(
@@ -321,9 +322,8 @@ def prove_line(
     )
     steps.append(AxisFixed(G))
 
-    # G's Jacobian is a constant multiple of H's, so G is Keller too.
-    word_g, min_degree = _fixed_axis_word(G)
-    steps.append(DegreeCollapse(min_degree))
+    word_g, inner = fixed_axis_invert(G)
+    steps.append(inner.find(DegreeCollapse))
 
     l_inv = L.inverse()
     tail = () if l_inv.is_identity() else (l_inv,)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 from .arith import (
@@ -189,29 +188,6 @@ def factorization_inverse(word: Factorization) -> Factorization:
     return Factorization(tuple(f.inverse() for f in reversed(word.factors)))
 
 
-def factorization_from_json(data: list) -> Factorization:
-    """Rebuild a factor word from its JSON form."""
-    from .cli import parse_unipoly
-
-    word = []
-    for item in data:
-        kind = item["kind"]
-        if kind == "affine":
-            (m11, m12), (m21, m22) = item["matrix"]
-            t1, t2 = item["translation"]
-            word.append(
-                AffineFactor(
-                    Fraction(*m11), Fraction(*m12), Fraction(*m21), Fraction(*m22),
-                    Fraction(*t1), Fraction(*t2),
-                )
-            )
-        elif kind == "elementary":
-            word.append(ElementaryFactor(item["axis"], parse_unipoly(item["shift"])))
-        else:
-            raise ValueError("unknown factor kind %r" % kind)
-    return Factorization(tuple(word))
-
-
 @dataclass(frozen=True)
 class NotAutomorphism:
     """Recognition failure: why, and the map left when reduction stopped."""
@@ -257,18 +233,13 @@ def invert_low_degree(H: PolyMap) -> Factorization:
     which this returns (identity factors dropped).
     """
     _require_keller(H)
-    if min(H.first.total_degree(), H.second.total_degree()) > 1:
+    f, g = H.first, H.second
+    df, dg = f.total_degree(), g.total_degree()
+    if min(df, dg) > 1:
         raise PreconditionViolated(
             "DegreeTooHigh", "both components have degree > 1"
         )
-    return _invert_low_degree(H)
-
-
-def _invert_low_degree(H: PolyMap) -> Factorization:
-    """invert_low_degree for a caller that already holds its preconditions."""
-    f, g = H.first, H.second
-    df, dg = f.total_degree(), g.total_degree()
-    # A constant component would force a zero Jacobian.
+    # A constant component would force a zero Jacobian, caught above.
     assert df >= 1 and dg >= 1
 
     if df <= 1 and dg <= 1:
@@ -376,9 +347,7 @@ def decide_automorphism(H: PolyMap):
             f = reduced
         else:
             g = reduced
-    # Peeling elementary factors keeps the Jacobian, so the residual is
-    # Keller with a component of degree at most 1.
-    tail = _invert_low_degree(PolyMap(f, g))
+    tail = invert_low_degree(PolyMap(f, g))
     word = Factorization(tuple(peeled) + tail.factors)
     assert factorization_to_map(word) == H, "recognized word fails to recompose"
     return word
