@@ -262,10 +262,6 @@ class UniPoly(_SparsePoly):
     def x(cls) -> "UniPoly":
         return cls({1: 1})
 
-    @classmethod
-    def monomial(cls, exponent: int, coeff: Coeff = 1) -> "UniPoly":
-        return cls({exponent: coeff})
-
     def degree(self):
         return max(self._t) if self._t else NEG_INF
 
@@ -477,7 +473,7 @@ class BiPoly(_SparsePoly):
 
     def evaluate(self, a: Coeff, b: Coeff) -> Coeff:
         return _norm_coeff(
-            Fraction(Substitution(Fraction(a), Fraction(b), one=1, zero=0).apply(self))
+            Fraction(Substitution(Fraction(a), Fraction(b)).apply(self))
         )
 
     def render(self) -> str:
@@ -501,14 +497,16 @@ class Substitution:
 
     Powers of u and v are cached across apply() calls, so substituting the
     same pair into several polynomials (both components of a map, say)
-    shares the expensive multiplications.
+    shares the expensive multiplications.  u and v share one ring
+    (Fraction, UniPoly or BiPoly), whose one and zero are taken from u.
     """
 
-    def __init__(self, u, v, one=None, zero=None):
+    def __init__(self, u, v):
         self._u = u
         self._v = v
-        self._one = type(u).one() if one is None else one
-        self._zero = type(u).zero() if zero is None else zero
+        self._one = u**0
+        # Not u * 0: traces would count it as a polynomial product.
+        self._zero = self._one - self._one
         self._upow = [self._one]
         self._vpow = [self._one]
 
@@ -595,8 +593,7 @@ class Parametrization:
     second: UniPoly
 
     def degree(self):
-        d1, d2 = self.first.degree(), self.second.degree()
-        return d2 if d1 is NEG_INF else (d1 if d2 is NEG_INF else max(d1, d2))
+        return max(self.first.degree(), self.second.degree())
 
     def evaluate(self, t: Coeff) -> tuple[Coeff, Coeff]:
         return self.first(t), self.second(t)
@@ -763,7 +760,7 @@ def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
     that of the Sylvester matrix with the rows of p on top.
     """
     dp, dq = p.degree_y(), q.degree_y()
-    if dp is NEG_INF or dp < 1 or dq is NEG_INF or dq < 1:
+    if dp < 1 or dq < 1:
         raise DegenerateResultant("resultant_y needs positive y-degree in both arguments")
     fl = _y_coeff_list(p)
     gl = _y_coeff_list(q)
@@ -780,8 +777,10 @@ def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate gcd via the primitive polynomial remainder sequence, used to
-# extract witnesses when a resultant vanishes identically.
+# Bivariate gcd from the same subresultant sequence, used to extract
+# witnesses when a resultant vanishes identically.  The last nonzero
+# remainder of any remainder sequence is an associate of the gcd over
+# Q(x), so its primitive part times the gcd of the contents is the gcd.
 # ---------------------------------------------------------------------------
 
 
@@ -834,9 +833,6 @@ def gcd_bivariate(a: BiPoly, b: BiPoly) -> BiPoly:
     cb, pb = _primitive(fb)
     cg = gcd_univariate(ca, cb)
     f, g = (pa, pb) if _ldeg(pa) >= _ldeg(pb) else (pb, pa)
-    while g:
-        r = _lprem(f, g)
-        _, r = _primitive(r)
-        f, g = g, r
-    _, f = _primitive(f)
+    R, _ = _inner_subresultants(f, g)
+    _, f = _primitive(R[-1])
     return normalize_leading(_from_y_coeff_list(_lmul_ground(f, cg)))

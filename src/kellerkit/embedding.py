@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .arith import (
     BiPoly,
     Coeff,
-    NEG_INF,
     Parametrization,
     UniPoly,
     _cdiv,
@@ -155,8 +154,7 @@ def is_embedding(gamma: Parametrization) -> EmbeddingReport:
 
 
 def _eff_deg(p: UniPoly) -> int:
-    d = p.degree()
-    return 0 if d is NEG_INF else max(d, 0)
+    return max(p.degree(), 0)
 
 
 def rectify(gamma: Parametrization) -> Factorization:

@@ -41,7 +41,7 @@ from .arith import (
     is_keller,
     restrict_to_line,
 )
-from .embedding import EmbeddingReport, is_embedding, is_injective_param, rectify
+from .embedding import EmbeddingReport, is_embedding, rectify
 from .errors import (
     JacobianNotConstant,
     NotInjectiveOnLine,
@@ -268,25 +268,14 @@ def fixed_axis_invert(H: PolyMap) -> tuple[Factorization, Certificate]:
     return word, cert
 
 
-def prove_line(
-    H: PolyMap, line: Line, *, injectivity_first: bool = False
-) -> tuple[PolyMap, Factorization, Certificate]:
+def prove_line(H: PolyMap, line: Line) -> tuple[PolyMap, Factorization, Certificate]:
     """Certified inversion of a Keller map injective on one line.
 
     Returns (inverse map, factor word for H, certificate).  Raises
     JacobianNotConstant when H is not Keller, NotInjectiveOnLine when the
     restriction to the line collides, and propagates
     TheoremViolationWitness from the impossible branches.
-
-    injectivity_first flips the order of the first two checks so the
-    injectivity test is reachable on non-Keller inputs; by default the
-    Jacobian hypothesis is checked first.
     """
-    if injectivity_first:
-        gamma_early, _ = restrict_to_line(H, line)
-        early = is_injective_param(gamma_early)
-        if not early.ok:
-            raise NotInjectiveOnLine(early.witness)
     gate = is_keller(H)
     if not gate.is_keller:
         raise JacobianNotConstant(gate.jacobian)

@@ -1,9 +1,10 @@
 """Newton polygons of bivariate polynomials and the similarity test.
 
 The Newton polygon of p is the convex hull of the exponent support of p
-together with the origin.  Vertices are exact rational points; hulls are
-computed by the monotone chain with exact cross products, so no epsilon
-appears anywhere.  Degenerate hulls (a single point, a segment) are
+together with the origin.  Hulls are computed by the monotone chain with
+exact cross products, so no epsilon appears anywhere.  A support's hull
+runs on its integer exponents, and only its vertices become exact
+rational points.  Degenerate hulls (a single point, a segment) are
 first-class polygons.
 
 Canonical vertex order: counterclockwise, starting at the lexicographically
@@ -27,7 +28,8 @@ def _cross(o: Point, a: Point, b: Point) -> Fraction:
 
 
 def _hull(points) -> tuple[Point, ...]:
-    """Strict convex hull, counterclockwise from the smallest vertex."""
+    """Strict convex hull, counterclockwise from the smallest vertex; exact
+    on int and Fraction points alike."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return tuple(pts)
@@ -126,17 +128,17 @@ class Polygon:
 
 def newton_polygon(p: BiPoly) -> Polygon:
     """Convex hull of the support of p together with the origin."""
-    pts = {(Fraction(i), Fraction(j)) for i, j in p.support()}
-    pts.add((Fraction(0), Fraction(0)))
-    return Polygon.from_points(pts)
+    return Polygon(_hull(p.support() | {(0, 0)}))
 
 
 def scale_polygon(p: Polygon, factor) -> Polygon:
-    """Dilation by a positive rational factor about the origin."""
+    """Dilation by a positive rational factor about the origin.  A positive
+    dilation keeps the canonical vertex order, so the scaled vertices are
+    already canonical."""
     f = Fraction(factor)
     if f <= 0:
         raise NonPositiveFactor("scale factor must be positive, got %s" % f)
-    return Polygon.from_points((f * x, f * y) for x, y in p.vertices)
+    return Polygon((f * x, f * y) for x, y in p.vertices)
 
 
 @dataclass(frozen=True)

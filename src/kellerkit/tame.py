@@ -326,10 +326,9 @@ def decide_automorphism(H: PolyMap):
             break
         # Reduce the higher-degree component; on ties reduce the second.
         if df > dg:
-            hi, lo, hi_axis = f, g, "first"
+            hi, lo, hi_axis, dh, dl = f, g, "first", df, dg
         else:
-            hi, lo, hi_axis = g, f, "second"
-        dh, dl = hi.total_degree(), lo.total_degree()
+            hi, lo, hi_axis, dh, dl = g, f, "second", dg, df
         if dh % dl:
             return NotAutomorphism("ReductionFailed", PolyMap(f, g), jac)
         d = dh // dl

@@ -501,6 +501,24 @@ class TestGcdBivariate:
                 continue
             assert gcd_bivariate(g * u, g * v) == normalize_leading(g)
 
+    def test_x_content_times_y_factor(self):
+        # Common factor (x + 1)*(y - x^2): the x-content of the gcd comes
+        # from the contents, its y-factor from the remainder sequence.
+        common = BiPoly({(1, 0): 1, (0, 0): 1}) * BiPoly({(0, 1): 1, (2, 0): -1})
+        a = common * BiPoly({(1, 0): 1, (0, 0): -2}) * BiPoly({(0, 1): 1, (0, 0): 1})
+        b = common * BiPoly({(1, 0): 1}) * BiPoly({(0, 2): 1, (0, 0): 3})
+        assert gcd_bivariate(a, b) == normalize_leading(common)
+        assert gcd_bivariate(b, a) == normalize_leading(common)
+
+    def test_remainder_degree_drops_by_two(self):
+        # prem(y^4 + 2y + x, y^3 + x) = (2 - x)*y + x: y-degree 3 -> 1.
+        common = BiPoly({(0, 1): 1, (1, 0): 1})  # y + x
+        a = BiPoly({(0, 4): 1, (0, 1): 2, (1, 0): 1})
+        b = BiPoly({(0, 3): 1, (1, 0): 1})
+        assert resultant_y(a, b) == resultant_oracle(a, b)
+        assert gcd_bivariate(a, b) == BiPoly.one()
+        assert gcd_bivariate(common * a, common * b) == common
+
     def test_coprime_gives_one(self):
         p = BiPoly({(1, 0): 1, (0, 1): 1})  # x + y
         q = BiPoly({(1, 0): 1, (0, 1): -1, (0, 0): 1})  # x - y + 1

@@ -14,7 +14,6 @@ from kellerkit import (
     Factorization,
     JacobianNotConstant,
     Line,
-    NotInjectiveOnLine,
     PolyMap,
     PreconditionViolated,
     UniPoly,
@@ -377,26 +376,6 @@ class TestProveLine:
         with pytest.raises(JacobianNotConstant) as exc:
             prove_line(PolyMap(x() ** 2, y()), Line(0, 1, 0))
         assert exc.value.jacobian == BiPoly({(1, 0): 2})
-
-    def test_injectivity_first_flag(self):
-        H = PolyMap(x() ** 2, y())
-        # Default order: the Jacobian hypothesis is checked first.
-        with pytest.raises(JacobianNotConstant):
-            prove_line(H, Line(0, 1, 0))
-        # Flipped order: the injectivity failure surfaces with its witness.
-        with pytest.raises(NotInjectiveOnLine) as exc:
-            prove_line(H, Line(0, 1, 0), injectivity_first=True)
-        assert exc.value.witness == BiPoly({(1, 0): 1, (0, 1): 1})
-        assert exc.value.witness.render() == "x + y"
-
-    def test_injectivity_first_same_result_on_valid_input(self):
-        H = shear()
-        line = Line(1, 1, 0)
-        default = prove_line(H, line)
-        flipped = prove_line(H, line, injectivity_first=True)
-        assert default[0] == flipped[0]
-        assert default[1] == flipped[1]
-        assert default[2] == flipped[2]
 
     def test_word_inverse_structure(self):
         # The returned word composes to H, so its reversal of inverses is

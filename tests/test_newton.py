@@ -89,6 +89,11 @@ class TestHull:
                     assert cross > 0
             # Canonical form is a fixed point.
             assert Polygon.from_points(vs) == poly
+            # The integer hull equals the hull of the rational support, and
+            # its vertices are rationals.
+            rational = {(Fraction(i), Fraction(j)) for i, j in pts | {(0, 0)}}
+            assert poly == Polygon.from_points(rational)
+            assert all(type(c) is Fraction for v in vs for c in v)
 
 
 class TestPolygon:
