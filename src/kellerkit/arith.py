@@ -8,6 +8,14 @@ integer-only paths stay on machine arithmetic.  Zero coefficients are
 never stored.  All values are immutable after construction and every
 operation returns a fresh object.
 
+BiPoly products run on Python ints: each operand is read once as integer
+numerators over the lcm of its denominators (a sum may hold a Fraction
+with denominator 1, read as its numerator), the numerators are convolved,
+and each product term is divided once by the product of the two
+denominators, giving an int where it divides and a reduced Fraction
+otherwise.  UniPoly products, small and mostly integral, multiply the
+stored coefficients directly.
+
 The canonical term order is graded lexicographic with x heavier than y:
 higher total degree first, ties broken by the exponent of x.  Rendering
 walks that order, so the textual form of any polynomial is canonical and
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .errors import DegenerateResultant, InvalidLine
@@ -229,7 +238,7 @@ class _SparsePoly:
         """Product with a scalar."""
         if not c:
             return self.zero()
-        return type(self)({k: v * c for k, v in self._t.items()})
+        return self._new({k: _norm_coeff(v * c) for k, v in self._t.items()})
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -377,6 +386,31 @@ def gcd_univariate(p: UniPoly, q: UniPoly) -> UniPoly:
     return a.monic()
 
 
+def _numerators(terms: dict):
+    """Bivariate terms as ((i, j), n) over d, with n / d the coefficient and
+    d the lcm of the coefficients' denominators.  Terms that are all plain
+    ints are returned as they are, over 1."""
+    for v in terms.values():
+        if type(v) is not int:
+            break
+    else:
+        return terms.items(), 1
+    d = lcm(*[v.denominator for v in terms.values()])
+    return [(k, v.numerator * (d // v.denominator)) for k, v in terms.items()], d
+
+
+def _over(numerators: dict, d: int) -> dict:
+    """Divide each nonzero integer numerator by d > 0 once: an int where d
+    divides it, a reduced Fraction otherwise."""
+    if d == 1:
+        return numerators
+    out = {}
+    for k, n in numerators.items():
+        q, r = divmod(n, d)
+        out[k] = Fraction(n, d) if r else q
+    return out
+
+
 class BiPoly(_SparsePoly):
     """Sparse bivariate polynomial in x and y with exact rational coefficients."""
 
@@ -437,16 +471,19 @@ class BiPoly(_SparsePoly):
             return self._scale(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        out: dict[tuple[int, int], Coeff] = {}
-        for (i1, j1), v1 in self._t.items():
-            for (i2, j2), v2 in other._t.items():
+        a, da = _numerators(self._t)
+        b, db = _numerators(other._t)
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for (i1, j1), v1 in a:
+            for (i2, j2), v2 in b:
                 k = (i1 + i2, j1 + j2)
-                s = out.get(k, 0) + v1 * v2
+                s = get(k, 0) + v1 * v2
                 if s:
                     out[k] = s
                 else:
                     del out[k]
-        return BiPoly._new(out)
+        return BiPoly._new(_over(out, da * db))
 
     __rmul__ = __mul__
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -516,10 +517,27 @@ _ERRORS = (
 )
 
 
+def _join_line_values(argv: list[str]) -> list[str]:
+    """Rewrite `--line -3,1,0` as `--line=-3,1,0`, up to a `--`.
+
+    argparse takes a separate value that starts with '-' for an option,
+    and a line's first coefficient may be negative.
+    """
+    out = []
+    for idx, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[idx:]
+        if out and out[-1] == "--line" and re.match(r"-[\d.]", arg):
+            out[-1] = "--line=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_line_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 3
     try:

@@ -55,6 +55,29 @@ bipolys = st.dictionaries(
 ).map(BiPoly)
 
 
+def _with_unit_fractions(p: BiPoly) -> BiPoly:
+    """p as a sum that stores each integer coefficient as a Fraction with
+    denominator 1."""
+    half = BiPoly({k: Fraction(1, 2) for k in p.support()})
+    return (p - half) + half
+
+
+def _fraction_convolution(p: BiPoly, q: BiPoly) -> dict:
+    """Reference product: every term pair multiplied as Fractions."""
+    out = {}
+    for (i1, j1), v1 in p.terms():
+        for (i2, j2), v2 in q.terms():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, Fraction(0)) + Fraction(v1) * Fraction(v2)
+    return {k: v for k, v in out.items() if v}
+
+
+def _assert_stored_reduced(p: BiPoly) -> None:
+    for v in p._t.values():
+        assert v != 0
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), v
+
+
 # ---------------------------------------------------------------------------
 # NEG_INF and degrees
 # ---------------------------------------------------------------------------
@@ -259,6 +282,42 @@ class TestBiPoly:
         assert p * (q + r) == p * q + p * r
         assert p * BiPoly.one() == p
         assert p - p == BiPoly.zero()
+
+    @given(bipolys, bipolys, st.booleans(), st.booleans())
+    def test_product_matches_fraction_convolution(self, p, q, unit_p, unit_q):
+        if unit_p:
+            p = _with_unit_fractions(p)
+        if unit_q:
+            q = _with_unit_fractions(q)
+        pairs = [
+            (p, q),
+            (p + q, p - q),  # the cross terms cancel exactly
+            (p * Fraction(1, 6), q * 6),  # the denominators often cancel
+        ]
+        for a, b in pairs:
+            product = a * b
+            assert product._t == _fraction_convolution(a, b)
+            _assert_stored_reduced(product)
+
+    def test_product_of_unit_fractions(self):
+        half = BiPoly({(1, 0): Fraction(1, 2)})
+        p = half + half  # holds x as Fraction(1, 1)
+        assert p._t == {(1, 0): 1}
+        assert type(p._t[(1, 0)]) is Fraction
+        product = p * (p + BiPoly.y())
+        assert product._t == {(2, 0): 1, (1, 1): 1}
+        _assert_stored_reduced(product)
+
+    def test_product_denominators_cancel(self):
+        a = BiPoly({(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 2)})
+        b = BiPoly({(1, 0): 2, (0, 0): -2})
+        product = a * b  # x^2 - 1: the x terms cancel, the rest is integral
+        assert product._t == {(2, 0): 1, (0, 0): -1}
+        _assert_stored_reduced(product)
+        c = BiPoly({(0, 1): Fraction(2, 3), (0, 0): Fraction(5, 4)})
+        product = c * BiPoly({(0, 1): Fraction(3, 4)})
+        assert product._t == {(0, 2): Fraction(1, 2), (0, 1): Fraction(15, 16)}
+        _assert_stored_reduced(product)
 
     def test_diff(self):
         p = BiPoly({(2, 1): 3, (0, 2): 1})

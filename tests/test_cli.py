@@ -313,6 +313,23 @@ class TestCommands:
             err = capsys.readouterr().err
             assert "invalid --line" in err
 
+    @pytest.mark.parametrize("line", ["-3,1,0", "-3/4,1,0"])
+    def test_prove_line_negative_line_as_separate_word(self, capsys, line):
+        assert main(["prove-line", "x + y^2", "y", "--line=" + line]) == 0
+        expected = capsys.readouterr().out
+        assert "final_check: true" in expected
+        for argv in (
+            ["prove-line", "--line", line, "x + y^2", "y"],
+            ["prove-line", "x + y^2", "y", "--line", line],
+        ):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
+
+    def test_prove_line_polynomial_starting_with_minus(self, capsys):
+        assert main(["prove-line", "--line", "-3,1,0", "--", "-x", "y"]) == 0
+        assert "inverse: (-x, y)" in capsys.readouterr().out
+        assert main(["prove-line", "--line", "--json", "x + y^2", "y"]) == 3
+
     def test_prove_line_degenerate_line(self, capsys):
         assert main(["prove-line", "x + y^2", "y", "--line", "0,0,1"]) == 3
         assert "error:" in capsys.readouterr().err
