@@ -2,24 +2,30 @@
 
 Univariate polynomials map exponents to coefficients, bivariate
 polynomials map exponent pairs (i, j) (for x^i * y^j) to coefficients.
-Coefficients are Python ints or fractions.Fraction values; constructors
-normalize Fractions with denominator 1 down to int so the common
-integer-only paths stay on machine arithmetic.  Zero coefficients are
-never stored.  All values are immutable after construction and every
-operation returns a fresh object.
+Coefficients are Python ints or fractions.Fraction values; constructors,
+sums, differences, scalar and BiPoly products normalize Fractions with
+denominator 1 down to int so the common integer-only paths stay on
+machine arithmetic.  Zero coefficients are never stored.  All values are
+immutable after construction and every operation returns a fresh object.
 
 BiPoly products run on Python ints: each operand is read once as integer
-numerators over the lcm of its denominators (a sum may hold a Fraction
-with denominator 1, read as its numerator), the numerators are convolved,
-and each product term is divided once by the product of the two
-denominators, giving an int where it divides and a reduced Fraction
-otherwise.  UniPoly products, small and mostly integral, multiply the
-stored coefficients directly.
+numerators over the lcm of its denominators (a Fraction with denominator
+1, which UniPoly products and remainders can still leave, is read as its
+numerator), the numerators are convolved, and each product term is
+divided once by the product of the two denominators, giving an int where
+it divides and a reduced Fraction otherwise.  UniPoly products, small and
+mostly integral, multiply the stored coefficients directly.
+
+Evaluation and substitution use one Horner loop, _horner: UniPoly calls
+and compositions, elementary factors, and Substitution, whose rows (the
+terms sharing a power of y, summed over cached powers of u) are the
+coefficients of a polynomial in v.
 
 The canonical term order is graded lexicographic with x heavier than y:
-higher total degree first, ties broken by the exponent of x.  Rendering
-walks that order, so the textual form of any polynomial is canonical and
-round-trips through the parser.
+higher total degree first, ties broken by the exponent of x.  One render
+loop in _SparsePoly walks that order (sign, magnitude, monomial, joins),
+so the textual form of any polynomial is canonical and round-trips
+through the parser; each class only names its monomials.
 
 The degree of the zero polynomial is NEG_INF, a sentinel that compares
 below every integer and refuses arithmetic.
@@ -51,30 +57,9 @@ def _cdiv(a: Coeff, b: Coeff) -> Coeff:
     return _norm_coeff(Fraction(a) / Fraction(b))
 
 
-def _fmt_magnitude(c: Coeff) -> str:
-    """Render a positive coefficient: 3, or 3/4 for proper fractions."""
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return "%d/%d" % (c.numerator, c.denominator)
-    return str(int(c))
-
-
-def _join_terms(rendered: list[tuple[bool, str]]) -> str:
-    """Assemble (is_negative, body) pieces into a canonical sum string."""
-    parts = []
-    for idx, (neg, body) in enumerate(rendered):
-        if idx == 0:
-            parts.append("-" + body if neg else body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
-    return "".join(parts)
-
-
-def _term_body(mag: Coeff, mono: str) -> str:
-    if not mono:
-        return _fmt_magnitude(mag)
-    if mag == 1:
-        return mono
-    return _fmt_magnitude(mag) + "*" + mono
+def _var_power(var: str, e: int) -> str:
+    """var^e as rendered: "" for e == 0, the bare variable for e == 1."""
+    return "" if e == 0 else var if e == 1 else "%s^%d" % (var, e)
 
 
 def frac_pair(c: Coeff) -> list[int]:
@@ -118,11 +103,13 @@ class _NegInf:
 NEG_INF = _NegInf()
 
 
-def _horner(sorted_terms, value, one, zero):
+def _horner(sorted_terms, value, zero):
     """Evaluate sum(c * value^k) given terms sorted by descending k.
 
-    Works over any ring with +, *, scalar multiplication, and ** for
-    non-negative ints: coefficients, univariate or bivariate polynomials.
+    Works over any ring with +, * and ** for non-negative ints:
+    coefficients, univariate or bivariate polynomials.  Each c is added to
+    the accumulator as it is, so a scalar c is lifted by the polynomial's
+    own addition and c may also be an element of value's ring.
     """
     acc = zero
     prev = None
@@ -130,7 +117,7 @@ def _horner(sorted_terms, value, one, zero):
         if prev is not None:
             gap = prev - k
             acc = acc * (value if gap == 1 else value**gap)
-        acc = acc + c * one
+        acc = acc + c
         prev = k
     if prev is not None and prev > 0:
         acc = acc * (value if prev == 1 else value**prev)
@@ -215,7 +202,7 @@ class _SparsePoly:
         for k, v in o._t.items():
             s = data.get(k, 0) + v
             if s:
-                data[k] = s
+                data[k] = _norm_coeff(s)
             else:
                 data.pop(k, None)
         return self._new(data)
@@ -255,6 +242,19 @@ class _SparsePoly:
 
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, self.render())
+
+    def _render(self, monomial) -> str:
+        """The terms in canonical order, joined by " + " and " - ", each one
+        a magnitude, a monomial, or magnitude*monomial; monomial(key) names
+        the monomial, "" for the constant term."""
+        text = ""
+        for key, c in self.terms():
+            mag, mono = str(abs(c)), monomial(key)
+            body = mag if not mono else mono if mag == "1" else mag + "*" + mono
+            text += (" - " if c < 0 else " + ") + body
+        if not text:
+            return "0"
+        return "-" + text[3:] if text[1] == "-" else text[3:]
 
 
 class UniPoly(_SparsePoly):
@@ -331,9 +331,6 @@ class UniPoly(_SparsePoly):
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         q, r = divmod(self, other)
         if not r.is_zero():
@@ -352,11 +349,11 @@ class UniPoly(_SparsePoly):
         return UniPoly({k: _cdiv(v, lead) for k, v in self._t.items()})
 
     def compose(self, other: "UniPoly") -> "UniPoly":
-        return _horner(self.terms(), other, UniPoly.one(), UniPoly.zero())
+        return _horner(self.terms(), other, UniPoly.zero())
 
     def __call__(self, value: Coeff) -> Coeff:
         return _norm_coeff(
-            Fraction(_horner(self.terms(), Fraction(value), 1, 0))
+            Fraction(_horner(self.terms(), Fraction(value), 0))
         )
 
     def to_bipoly(self, axis: str = "x") -> "BiPoly":
@@ -367,15 +364,7 @@ class UniPoly(_SparsePoly):
         raise ValueError("axis must be 'x' or 'y'")
 
     def render(self, var: str = "x") -> str:
-        if not self._t:
-            return "0"
-        rendered = []
-        for k, c in self.terms():
-            neg = c < 0
-            mag = -c if neg else c
-            mono = "" if k == 0 else (var if k == 1 else "%s^%d" % (var, k))
-            rendered.append((neg, _term_body(mag, mono)))
-        return _join_terms(rendered)
+        return self._render(lambda k: _var_power(var, k))
 
 
 def gcd_univariate(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -514,61 +503,40 @@ class BiPoly(_SparsePoly):
         )
 
     def render(self) -> str:
-        if not self._t:
-            return "0"
-        rendered = []
-        for (i, j), c in self.terms():
-            neg = c < 0
-            mag = -c if neg else c
-            pieces = []
-            if i:
-                pieces.append("x" if i == 1 else "x^%d" % i)
-            if j:
-                pieces.append("y" if j == 1 else "y^%d" % j)
-            rendered.append((neg, _term_body(mag, "*".join(pieces))))
-        return _join_terms(rendered)
+        return self._render(
+            lambda ij: "*".join(m for m in (_var_power("x", ij[0]), _var_power("y", ij[1])) if m)
+        )
 
 
 class Substitution:
     """Substitution of a fixed pair (u, v) for (x, y), with power caching.
 
-    Powers of u and v are cached across apply() calls, so substituting the
-    same pair into several polynomials (both components of a map, say)
-    shares the expensive multiplications.  u and v share one ring
-    (Fraction, UniPoly or BiPoly), whose one and zero are taken from u.
+    Powers of u are cached across apply() calls, so substituting the same
+    pair into several polynomials (both components of a map, say) shares
+    the expensive multiplications; v enters by Horner's rule.  u and v
+    share one ring (Fraction, UniPoly or BiPoly), whose zero is taken
+    from u.
     """
 
     def __init__(self, u, v):
         self._u = u
         self._v = v
-        self._one = u**0
+        one = u**0
         # Not u * 0: traces would count it as a polynomial product.
-        self._zero = self._one - self._one
-        self._upow = [self._one]
-        self._vpow = [self._one]
-
-    def _power(self, cache, base, k):
-        while len(cache) <= k:
-            cache.append(cache[-1] * base)
-        return cache[k]
+        self._zero = one - one
+        self._upow = [one]
 
     def apply(self, p: BiPoly):
-        rows: dict[int, list[tuple[int, Coeff]]] = {}
+        """p(u, v) by Horner's rule in v over the rows sum(c * u^i) of p's
+        terms sharing one power of y."""
+        upow = self._upow
+        while len(upow) <= p.degree_x():
+            upow.append(upow[-1] * self._u)
+        rows = {}
         for (i, j), c in p._t.items():
-            rows.setdefault(j, []).append((i, c))
-        acc = self._zero
-        prev_j = None
-        for j in sorted(rows, reverse=True):
-            if prev_j is not None:
-                acc = acc * self._power(self._vpow, self._v, prev_j - j)
-            row = self._zero
-            for i, c in rows[j]:
-                row = row + c * self._power(self._upow, self._u, i)
-            acc = acc + row
-            prev_j = j
-        if prev_j is not None and prev_j > 0:
-            acc = acc * self._power(self._vpow, self._v, prev_j)
-        return acc
+            t = c * upow[i]
+            rows[j] = rows[j] + t if j in rows else t
+        return _horner(sorted(rows.items(), reverse=True), self._v, self._zero)
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ class _Parser:
 
     def _term(self) -> BiPoly:
         ch = self._peek()
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             c = self._coeff()
             save = self.i
             self._skip_ws()
@@ -132,7 +132,7 @@ class _Parser:
 
     def _nat(self) -> int:
         start = self.i
-        while self.i < self.n and self.text[self.i].isdigit():
+        while self.i < self.n and "0" <= self.text[self.i] <= "9":
             self.i += 1
         if start == self.i:
             self._fail("expected a number", self.i, "a digit")
@@ -241,8 +241,13 @@ def _parse_line_arg(text: str) -> Line:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("expected three comma-separated coefficients")
-    a, b, c = (Fraction(part.strip()) for part in parts)
-    return Line(a, b, c)
+    coeffs = []
+    for part in parts:
+        try:
+            coeffs.append(Fraction(part.strip()))
+        except ZeroDivisionError:
+            raise ValueError("denominator is zero in %r" % part.strip()) from None
+    return Line(*coeffs)
 
 
 def _cmd_jac(args) -> int:
@@ -354,7 +359,7 @@ def _cmd_prove_line(args) -> int:
     H = PolyMap(parse_bipoly(args.first), parse_bipoly(args.second))
     try:
         line = _parse_line_arg(args.line)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print("error: invalid --line value: %s" % exc, file=sys.stderr)
         return 3
     inverse_map, word, cert = prove_line(H, line)

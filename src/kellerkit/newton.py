@@ -109,10 +109,7 @@ class Polygon:
         return hash(self._v)
 
     def render(self) -> str:
-        def fmt(f: Fraction) -> str:
-            return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
-
-        return " ".join("(%s, %s)" % (fmt(x), fmt(y)) for x, y in self._v)
+        return " ".join("(%s, %s)" % (x, y) for x, y in self._v)
 
     def to_json_dict(self) -> dict:
         return {

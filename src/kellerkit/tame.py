@@ -127,11 +127,9 @@ class ElementaryFactor:
 
     def apply(self, pair):
         p, q = pair
-        one = type(p).one()
-        zero = type(p).zero()
         if self.axis == "first":
-            return (p + _horner(self.shift.terms(), q, one, zero), q)
-        return (p, q + _horner(self.shift.terms(), p, one, zero))
+            return (p + _horner(self.shift.terms(), q, 0), q)
+        return (p, q + _horner(self.shift.terms(), p, 0))
 
     def to_map(self) -> PolyMap:
         f, g = self.apply((BiPoly.x(), BiPoly.y()))

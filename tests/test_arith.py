@@ -56,10 +56,9 @@ bipolys = st.dictionaries(
 
 
 def _with_unit_fractions(p: BiPoly) -> BiPoly:
-    """p as a sum that stores each integer coefficient as a Fraction with
-    denominator 1."""
-    half = BiPoly({k: Fraction(1, 2) for k in p.support()})
-    return (p - half) + half
+    """p storing each integer coefficient as a Fraction with denominator 1,
+    which _new passes through and a UniPoly product can still leave."""
+    return BiPoly._new({k: Fraction(v) for k, v in p._t.items()})
 
 
 def _fraction_convolution(p: BiPoly, q: BiPoly) -> dict:
@@ -236,6 +235,15 @@ class TestUniPoly:
             t = random_fraction(rng)
             assert p(t) == eval_unipoly_naive(p, t)
 
+    def test_call_and_compose_on_zero_and_constants(self):
+        q = UniPoly({2: 1, 0: Fraction(1, 3)})
+        for p in (UniPoly.zero(), UniPoly.constant(7), UniPoly.constant(Fraction(-2, 5))):
+            c = p.constant_value()
+            assert p(Fraction(3, 2)) == c and type(p(5)) is type(c)
+            composed = p.compose(q)
+            assert type(composed) is UniPoly and composed == p
+        assert UniPoly.x().compose(UniPoly.zero()).is_zero()
+
     def test_monic(self):
         p = UniPoly({2: 3, 0: 6})
         assert p.monic() == UniPoly({2: 1, 0: 2})
@@ -301,12 +309,25 @@ class TestBiPoly:
 
     def test_product_of_unit_fractions(self):
         half = BiPoly({(1, 0): Fraction(1, 2)})
-        p = half + half  # holds x as Fraction(1, 1)
-        assert p._t == {(1, 0): 1}
+        total = half + half
+        assert total._t == {(1, 0): 1} and type(total._t[(1, 0)]) is int
+        p = _with_unit_fractions(BiPoly.x())  # holds x as Fraction(1, 1)
         assert type(p._t[(1, 0)]) is Fraction
         product = p * (p + BiPoly.y())
         assert product._t == {(2, 0): 1, (1, 1): 1}
         _assert_stored_reduced(product)
+
+    @pytest.mark.parametrize("cls", [UniPoly, BiPoly])
+    def test_integral_sums_store_int(self, cls):
+        third = cls.x() * Fraction(1, 3)
+        sums = [
+            third + third * 2,
+            third * 2 - (-third),
+            Fraction(4, 3) - cls.constant(Fraction(1, 3)),
+        ]
+        assert sums == [cls.x(), cls.x(), cls.one()]
+        for total in sums:
+            _assert_stored_reduced(total)
 
     def test_product_denominators_cancel(self):
         a = BiPoly({(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 2)})
@@ -351,6 +372,22 @@ class TestBiPoly:
             p = random_bipoly(rng, 4, 5)
             a, b = random_fraction(rng), random_fraction(rng)
             assert p.evaluate(a, b) == eval_bipoly_naive(p, a, b)
+
+    def test_substitution_matches_power_sum(self, rng):
+        """Substitution.apply against sum(c * u**i * v**j), on sparse p with
+        gaps between the powers of y and no constant row."""
+        fixed = BiPoly({(1, 5): 1, (0, 2): 3})  # x*y^5 + 3*y^2
+        for _ in range(6):
+            ys = (1, 2, 4, 7)
+            terms = {(rng.randint(0, 3), rng.choice(ys)): random_fraction(rng) for _ in range(4)}
+            for p in (fixed, BiPoly(terms)):
+                for u, v in (
+                    (random_bipoly(rng, 2, 3), random_bipoly(rng, 2, 3)),
+                    (random_unipoly(rng, 2, 3), random_unipoly(rng, 2, 3)),
+                    (random_fraction(rng), random_fraction(rng)),
+                ):
+                    expected = sum((c * u**i * v**j for (i, j), c in p.terms()), u**0 - u**0)
+                    assert Substitution(u, v).apply(p) == expected
 
     def test_substitution_object_matches_substitute(self, rng):
         u = random_bipoly(rng, 2, 3)

@@ -145,6 +145,16 @@ class TestParseBipoly:
         with pytest.raises(ParseError):
             parse_bipoly("x^-2")
 
+    @pytest.mark.parametrize(
+        "text,column",
+        [("x^\u00b2", 3), ("x^\u0663", 3), ("x^\uff11", 3), ("\u0663*x", 1), ("x + 2\u0663", 6)],
+    )
+    def test_only_ascii_digits(self, text, column):
+        with pytest.raises(ParseError) as exc:
+            parse_bipoly(text)
+        assert exc.value.line == 1
+        assert exc.value.column == column
+
 
 class TestParseUnipoly:
     def test_basic(self):
@@ -313,6 +323,11 @@ class TestCommands:
             err = capsys.readouterr().err
             assert "invalid --line" in err
 
+    def test_prove_line_zero_denominator_in_line(self, capsys):
+        assert main(["prove-line", "x + y^2", "y", "--line", "1,3/0,0"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: invalid --line value: denominator is zero in '3/0'\n"
+
     @pytest.mark.parametrize("line", ["-3,1,0", "-3/4,1,0"])
     def test_prove_line_negative_line_as_separate_word(self, capsys, line):
         assert main(["prove-line", "x + y^2", "y", "--line=" + line]) == 0
@@ -464,6 +479,12 @@ class TestSubprocess:
         assert proc.returncode == 3
         assert proc.stdout == b""
         assert b"error:" in proc.stderr
+
+    def test_unicode_digit_is_a_parse_error(self):
+        proc = run_module(["jac", "x^\u00b2", "y"])
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: expected a number (line 1, column 3)\n"
 
     @pytest.mark.parametrize("name,args", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
     def test_golden(self, name, args):
