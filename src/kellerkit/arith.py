@@ -2,19 +2,19 @@
 
 Univariate polynomials map exponents to coefficients, bivariate
 polynomials map exponent pairs (i, j) (for x^i * y^j) to coefficients.
-Coefficients are Python ints or fractions.Fraction values; constructors,
-sums, differences, scalar and BiPoly products normalize Fractions with
-denominator 1 down to int so the common integer-only paths stay on
-machine arithmetic.  Zero coefficients are never stored.  All values are
-immutable after construction and every operation returns a fresh object.
+Coefficients are Python ints or fractions.Fraction values; every
+operation stores a Fraction with denominator 1 as an int, so the common
+integer-only paths stay on machine arithmetic.  Zero coefficients are
+never stored.  All values are immutable after construction and every
+operation returns a fresh object.
 
 BiPoly products run on Python ints: each operand is read once as integer
-numerators over the lcm of its denominators (a Fraction with denominator
-1, which UniPoly products and remainders can still leave, is read as its
-numerator), the numerators are convolved, and each product term is
-divided once by the product of the two denominators, giving an int where
-it divides and a reduced Fraction otherwise.  UniPoly products, small and
-mostly integral, multiply the stored coefficients directly.
+numerators over the lcm of its denominators (an all-int operand as it is
+stored), the numerators are convolved, and each product term is divided
+once by the product of the two denominators, giving an int where it
+divides and a reduced Fraction otherwise.  UniPoly products, small and
+mostly integral, multiply the stored coefficients directly and then
+store integral Fractions as ints.
 
 Evaluation and substitution use one Horner loop, _horner: UniPoly calls
 and compositions, elementary factors, and Substitution, whose rows (the
@@ -127,7 +127,8 @@ def _horner(sorted_terms, value, zero):
 class _SparsePoly:
     """Ring operations shared by UniPoly and BiPoly, on a dict from exponent
     key to nonzero coefficient.  A subclass sets _CONST, the key of the
-    constant term, and _key, which validates one key."""
+    constant term; _key, which validates one key; _deg, the total degree
+    of a key; and _order, its rank in the canonical term order."""
 
     __slots__ = ("_t",)
 
@@ -175,6 +176,24 @@ class _SparsePoly:
         if not self.is_constant():
             raise ValueError("polynomial is not constant: %s" % self.render())
         return self._t.get(self._CONST, 0)
+
+    def total_degree(self):
+        return max(map(self._deg, self._t)) if self._t else NEG_INF
+
+    def terms(self) -> list:
+        """Terms in canonical order, highest first."""
+        return [(k, self._t[k]) for k in sorted(self._t, key=self._order, reverse=True)]
+
+    def leading_term(self) -> tuple:
+        if not self._t:
+            raise ValueError("the zero polynomial has no leading term")
+        key = max(self._t, key=self._order)
+        return key, self._t[key]
+
+    def leading_form(self):
+        """Homogeneous part of top total degree."""
+        d = self.total_degree()
+        return self._new({k: v for k, v in self._t.items() if self._deg(k) == d})
 
     def __eq__(self, other):
         if isinstance(other, type(self)):
@@ -257,6 +276,15 @@ class _SparsePoly:
         return "-" + text[3:] if text[1] == "-" else text[3:]
 
 
+def _ints(data: dict) -> dict:
+    """data with each Fraction of denominator 1 stored as its int; all-int
+    data as it is."""
+    for v in data.values():
+        if type(v) is not int:
+            return {k: _norm_coeff(v) for k, v in data.items()}
+    return data
+
+
 class UniPoly(_SparsePoly):
     """Sparse univariate polynomial with exact rational coefficients."""
 
@@ -267,12 +295,13 @@ class UniPoly(_SparsePoly):
     def _key(k):
         return k if isinstance(k, int) and k >= 0 else None
 
+    _deg = _order = int  # an exponent is its own degree and rank
+
     @classmethod
     def x(cls) -> "UniPoly":
         return cls({1: 1})
 
-    def degree(self):
-        return max(self._t) if self._t else NEG_INF
+    degree = _SparsePoly.total_degree
 
     def lc(self) -> Coeff:
         """Leading coefficient; 0 for the zero polynomial."""
@@ -281,25 +310,22 @@ class UniPoly(_SparsePoly):
     def coeff(self, k: int) -> Coeff:
         return self._t.get(k, 0)
 
-    def terms(self) -> list[tuple[int, Coeff]]:
-        """Terms sorted by descending exponent."""
-        return sorted(self._t.items(), reverse=True)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
         if not isinstance(other, UniPoly):
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other)
             return NotImplemented
         out: dict[int, Coeff] = {}
+        get = out.get
         for k1, v1 in self._t.items():
             for k2, v2 in other._t.items():
                 k = k1 + k2
-                s = out.get(k, 0) + v1 * v2
+                s = get(k, 0) + v1 * v2
                 if s:
                     out[k] = s
                 else:
                     del out[k]
-        return UniPoly._new(out)
+        return UniPoly._new(_ints(out))
 
     __rmul__ = __mul__
 
@@ -326,7 +352,7 @@ class UniPoly(_SparsePoly):
                     r[kk] = s
                 else:
                     r.pop(kk, None)
-        return UniPoly._new(q), UniPoly._new(r)
+        return UniPoly._new(q), UniPoly._new(_ints(r))
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
@@ -413,6 +439,9 @@ class BiPoly(_SparsePoly):
             return (i, j)
         return None
 
+    _deg = staticmethod(lambda key: key[0] + key[1])
+    _order = staticmethod(lambda key: (key[0] + key[1], key[0]))
+
     @classmethod
     def x(cls) -> "BiPoly":
         return cls({(1, 0): 1})
@@ -420,9 +449,6 @@ class BiPoly(_SparsePoly):
     @classmethod
     def y(cls) -> "BiPoly":
         return cls({(0, 1): 1})
-
-    def total_degree(self):
-        return max(i + j for i, j in self._t) if self._t else NEG_INF
 
     def degree_x(self):
         return max(i for i, _ in self._t) if self._t else NEG_INF
@@ -435,25 +461,6 @@ class BiPoly(_SparsePoly):
 
     def support(self) -> frozenset[tuple[int, int]]:
         return frozenset(self._t)
-
-    def terms(self) -> list[tuple[tuple[int, int], Coeff]]:
-        """Terms in canonical order: graded lexicographic, x heavier, descending."""
-        return sorted(
-            self._t.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]), reverse=True
-        )
-
-    def leading_term(self) -> tuple[tuple[int, int], Coeff]:
-        if not self._t:
-            raise ValueError("the zero polynomial has no leading term")
-        key = max(self._t, key=lambda ij: (ij[0] + ij[1], ij[0]))
-        return key, self._t[key]
-
-    def leading_form(self) -> "BiPoly":
-        """Homogeneous part of top total degree."""
-        if not self._t:
-            return self
-        d = self.total_degree()
-        return BiPoly({k: v for k, v in self._t.items() if k[0] + k[1] == d})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

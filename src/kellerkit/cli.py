@@ -18,12 +18,18 @@ Exit codes: 0 success, 2 hypothesis violated (non-Keller input, failed
 embedding, not an automorphism, non-injective restriction), 3 malformed
 input or usage, 4 internal contradiction (a state mathematics rules out,
 reported rather than assumed away).
+
+Every command returns its answer, negative ones included, as (exit code,
+JSON payload, text lines), and main prints it in one place.  Failures,
+an answer that cannot be written (a closed stdout) among them, are one
+line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -229,12 +235,29 @@ def factorization_from_json(data: list) -> Factorization:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands.  Each returns (exit code, JSON payload, text lines); main
+# prints the payload under --json, else the lines.
 # ---------------------------------------------------------------------------
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+class _Refused(Exception):
+    """A command-line value the command cannot use (exit 3)."""
+
+
+class _ReplayFailed(Exception):
+    """The certificate just written did not replay (exit 4)."""
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _map(args) -> PolyMap:
+    return PolyMap(parse_bipoly(args.first), parse_bipoly(args.second))
+
+
+def _curve(args) -> Parametrization:
+    return Parametrization(parse_unipoly(args.first), parse_unipoly(args.second))
 
 
 def _parse_line_arg(text: str) -> Line:
@@ -242,126 +265,94 @@ def _parse_line_arg(text: str) -> Line:
     if len(parts) != 3:
         raise ValueError("expected three comma-separated coefficients")
     coeffs = []
-    for part in parts:
+    for part in map(str.strip, parts):
+        # Fraction() alone also reads non-ASCII digits, '_' (Python 3.11
+        # and later), spaces around '/' (3.12 and later) and exponents,
+        # whose 10**exp it computes with no bound.
+        if not re.fullmatch(r"[-+]?([0-9]+/[0-9]+|[0-9]+\.?[0-9]*|\.[0-9]+)", part):
+            raise ValueError("Invalid literal for Fraction: %r" % part)
         try:
-            coeffs.append(Fraction(part.strip()))
+            coeffs.append(Fraction(part))
         except ZeroDivisionError:
-            raise ValueError("denominator is zero in %r" % part.strip()) from None
+            raise ValueError("denominator is zero in %r" % part) from None
     return Line(*coeffs)
 
 
-def _cmd_jac(args) -> int:
-    H = PolyMap(parse_bipoly(args.first), parse_bipoly(args.second))
-    report = is_keller(H)
-    if args.json:
-        _print_json(report.to_json_dict())
-    else:
-        print("jacobian: %s" % report.jacobian.render())
-        print("keller: %s" % ("true" if report.is_keller else "false"))
-    return 0
+def _cmd_jac(args):
+    report = is_keller(_map(args))
+    return 0, report.to_json_dict(), [
+        "jacobian: %s" % report.jacobian.render(),
+        "keller: %s" % _flag(report.is_keller),
+    ]
 
 
-def _cmd_polygon(args) -> int:
+def _cmd_polygon(args):
     poly = newton_polygon(parse_bipoly(args.poly))
-    if args.json:
-        _print_json(poly.to_json_dict())
-    else:
-        print("vertices: %s" % poly.render())
-    return 0
+    return 0, poly.to_json_dict(), ["vertices: %s" % poly.render()]
 
 
-def _cmd_similar(args) -> int:
+def _cmd_similar(args):
     report = similarity_check(parse_bipoly(args.first), parse_bipoly(args.second))
-    if args.json:
-        _print_json(report.to_json_dict())
-    else:
-        print("similar: %s" % ("true" if report.similar else "false"))
-        print("factor: %s" % report.factor)
-        print("n_f: %s" % report.n_f.render())
-        print("n_g: %s" % report.n_g.render())
-    return 0
+    return 0, report.to_json_dict(), [
+        "similar: %s" % _flag(report.similar),
+        "factor: %s" % report.factor,
+        "n_f: %s" % report.n_f.render(),
+        "n_g: %s" % report.n_g.render(),
+    ]
 
 
-def _recognize(args):
-    """The factor word of the map in args; None, after printing the
-    negative answer, when it is not recognized as an automorphism."""
-    result = decide_automorphism(PolyMap(parse_bipoly(args.first), parse_bipoly(args.second)))
-    if not isinstance(result, NotAutomorphism):
-        return result
-    if args.json:
-        _print_json(result.to_json_dict())
-    else:
-        print("automorphism: false")
-        print("reason: %s" % result.reason)
-        print("residual: %s" % result.residual.render())
-    return None
+def _not_automorphism(result: NotAutomorphism):
+    return 2, result.to_json_dict(), [
+        "automorphism: false",
+        "reason: %s" % result.reason,
+        "residual: %s" % result.residual.render(),
+    ]
 
 
-def _cmd_is_auto(args) -> int:
-    result = _recognize(args)
-    if result is None:
-        return 2
-    if args.json:
-        _print_json({"automorphism": True, "factorization": result.to_json_list()})
-    else:
-        print("automorphism: true")
-        print("factors: %d" % len(result))
-        for factor in result:
-            print(factor.render())
-    return 0
+def _cmd_is_auto(args):
+    word = decide_automorphism(_map(args))
+    if isinstance(word, NotAutomorphism):
+        return _not_automorphism(word)
+    return 0, {"automorphism": True, "factorization": word.to_json_list()}, [
+        "automorphism: true",
+        "factors: %d" % len(word),
+        *(factor.render() for factor in word),
+    ]
 
 
-def _cmd_invert(args) -> int:
-    result = _recognize(args)
-    if result is None:
-        return 2
-    inverse_word = factorization_inverse(result)
+def _cmd_invert(args):
+    word = decide_automorphism(_map(args))
+    if isinstance(word, NotAutomorphism):
+        return _not_automorphism(word)
+    inverse_word = factorization_inverse(word)
     inverse_map = factorization_to_map(inverse_word)
-    if args.json:
-        _print_json(
-            {
-                "inverse": inverse_map.to_json_dict(),
-                "factorization": inverse_word.to_json_list(),
-            }
-        )
-    else:
-        print("inverse: %s" % inverse_map.render())
-        print("factors: %d" % len(inverse_word))
-        for factor in inverse_word:
-            print(factor.render())
-    return 0
+    payload = {"inverse": inverse_map.to_json_dict(), "factorization": inverse_word.to_json_list()}
+    return 0, payload, [
+        "inverse: %s" % inverse_map.render(),
+        "factors: %d" % len(inverse_word),
+        *(factor.render() for factor in inverse_word),
+    ]
 
 
-def _cmd_embed_check(args) -> int:
-    gamma = Parametrization(parse_unipoly(args.first), parse_unipoly(args.second))
-    report = is_embedding(gamma)
-    if args.json:
-        _print_json(report.to_json_dict())
-    else:
-        print("injective: %s" % ("true" if report.injective else "false"))
-        print("immersion: %s" % ("true" if report.immersion else "false"))
-        if report.witness is not None:
-            print("witness: %s" % report.witness.render())
-    return 0
+def _cmd_embed_check(args):
+    report = is_embedding(_curve(args))
+    lines = ["injective: %s" % _flag(report.injective), "immersion: %s" % _flag(report.immersion)]
+    if report.witness is not None:
+        lines.append("witness: %s" % report.witness.render())
+    return 0, report.to_json_dict(), lines
 
 
-def _cmd_rectify(args) -> int:
-    gamma = Parametrization(parse_unipoly(args.first), parse_unipoly(args.second))
-    word = rectify(gamma)
-    if args.json:
-        _print_json({"factorization": word.to_json_list()})
-    else:
-        print(word.render())
-    return 0
+def _cmd_rectify(args):
+    word = rectify(_curve(args))
+    return 0, {"factorization": word.to_json_list()}, [word.render()]
 
 
-def _cmd_prove_line(args) -> int:
-    H = PolyMap(parse_bipoly(args.first), parse_bipoly(args.second))
+def _cmd_prove_line(args):
+    H = _map(args)
     try:
         line = _parse_line_arg(args.line)
     except ValueError as exc:
-        print("error: invalid --line value: %s" % exc, file=sys.stderr)
-        return 3
+        raise _Refused("invalid --line value: %s" % exc) from None
     inverse_map, word, cert = prove_line(H, line)
     if args.certificate:
         payload = json.dumps(cert.to_json_list(), indent=2)
@@ -373,26 +364,21 @@ def _cmd_prove_line(args) -> int:
             stored = {s["step"]: s for s in json.load(handle)}
         reread = factorization_from_json(stored["inverted"]["factorization"])
         if not stored["final_check"]["verified"] or verified_inverse(reread, H) is None:
-            print("error: certificate failed replay", file=sys.stderr)
-            return 4
-    if args.json:
-        _print_json(
-            {
-                "inverse": inverse_map.to_json_dict(),
-                "factorization": word.to_json_list(),
-                "certificate": cert.to_json_list(),
-            }
-        )
-    else:
-        print("inverse: %s" % inverse_map.render())
-        print("factors: %d" % len(word))
-        print("certificate:")
-        for step in cert.steps:
-            print("  " + step.render())
-    return 0
+            raise _ReplayFailed("certificate failed replay")
+    payload = {
+        "inverse": inverse_map.to_json_dict(),
+        "factorization": word.to_json_list(),
+        "certificate": cert.to_json_list(),
+    }
+    return 0, payload, [
+        "inverse: %s" % inverse_map.render(),
+        "factors: %d" % len(word),
+        "certificate:",
+        *("  " + step.render() for step in cert.steps),
+    ]
 
 
-def _cmd_gen_auto(args) -> int:
+def _cmd_gen_auto(args):
     try:
         word = random_tame(
             args.seed,
@@ -402,13 +388,8 @@ def _cmd_gen_auto(args) -> int:
             affine_probability=args.affine_probability,
         )
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    if args.json:
-        _print_json({"factorization": word.to_json_list()})
-    else:
-        print(word.render())
-    return 0
+        raise _Refused(str(exc)) from None
+    return 0, {"factorization": word.to_json_list()}, [word.render()]
 
 
 _COMMANDS = {
@@ -500,11 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Exceptions a command may raise, in the order they are matched, with the
-# exit code and the payload.  A string payload is the prefix of a message
-# on stderr; a function payload gives the (error code, extra fields) of a
-# negative answer on stdout.
-_ERRORS = (
-    ((ParseError, DenominatorZero, InvalidLine, OSError), 3, "error"),
+# exit code and the payload.  _ANSWERS are negative answers, printed on
+# stdout like any other: the function gives their (error code, extra JSON
+# fields).  _ERRORS are failures: the string prefixes a message on stderr.
+_ANSWERS = (
     ((HypothesisViolated,), 2, lambda exc: (exc.reason, {})),
     ((PreconditionViolated,), 2, lambda exc: (exc.condition, {})),
     (
@@ -518,8 +498,32 @@ _ERRORS = (
         }),
     ),
     ((NotAnEmbedding,), 2, lambda exc: ("NotAnEmbedding", exc.report.to_json_dict())),
-    ((AbhyankarMohViolation, TheoremViolationWitness), 4, "internal contradiction"),
 )
+_ERRORS = (
+    ((ParseError, DenominatorZero, InvalidLine, OSError, _Refused), 3, "error"),
+    ((AbhyankarMohViolation, TheoremViolationWitness), 4, "internal contradiction"),
+    ((_ReplayFailed,), 4, "error"),
+)
+
+
+def _types(table) -> tuple:
+    return tuple(t for types, _, _ in table for t in types)
+
+
+def _row(table, exc):
+    """The exit code and payload of the first row that matches exc."""
+    return next(row[1:] for row in table if isinstance(exc, row[0]))
+
+
+def _answer(args):
+    """The command's answer, a negative one when it raises one of _ANSWERS."""
+    try:
+        return _COMMANDS[args.command](args)
+    except _types(_ANSWERS) as exc:
+        code, payload = _row(_ANSWERS, exc)
+        error_code, extra = payload(exc)
+        answer = {"error": error_code, "message": str(exc), **extra}
+        return code, answer, ["%s: %s" % (error_code, exc)]
 
 
 def _join_line_values(argv: list[str]) -> list[str]:
@@ -545,18 +549,21 @@ def main(argv=None) -> int:
         args = ap.parse_args(_join_line_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 3
+    # Printing stays inside the try: a closed stdout is an OSError, exit 3.
     try:
-        return _COMMANDS[args.command](args)
-    except tuple(t for types, _, _ in _ERRORS for t in types) as exc:
-        _, code, payload = next(row for row in _ERRORS if isinstance(exc, row[0]))
-        if isinstance(payload, str):
-            print("%s: %s" % (payload, exc), file=sys.stderr)
-            return code
-        error_code, extra = payload(exc)
-        if args.json:
-            _print_json({"error": error_code, "message": str(exc), **extra})
-        else:
-            print("%s: %s" % (error_code, exc))
+        code, payload, lines = _answer(args)
+        try:
+            print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+            sys.stdout.flush()
+        except OSError:
+            # Point stdout at devnull so the flush at exit cannot fail again
+            # (the Python docs' note on SIGPIPE).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
+        return code
+    except _types(_ERRORS) as exc:
+        code, prefix = _row(_ERRORS, exc)
+        print("%s: %s" % (prefix, exc), file=sys.stderr)
         return code
 
 

@@ -12,10 +12,11 @@ valid over any extension field, not just the rationals:
   a univariate gcd.
 
 rectify straightens an embedded line: it returns a word of tame factors
-Phi with Phi(p(t), q(t)) = (t, 0), by the classical degree-reduction
-argument.  The loop's impossible states (which would contradict the
-Abhyankar-Moh theorem) raise AbhyankarMohViolation rather than being
-silently assumed away.
+Phi with Phi(p(t), q(t)) = (t, 0).  The degree reduction is the one
+tame.decide_automorphism runs on maps (tame._peel), here on the pair of
+univariate components; rectify adds the degree-1 finish.  States the
+Abhyankar-Moh theorem rules out raise AbhyankarMohViolation rather than
+being silently assumed away.
 """
 
 from __future__ import annotations
@@ -34,7 +35,14 @@ from .arith import (
     resultant_y,
 )
 from .errors import AbhyankarMohViolation, NotAnEmbedding
-from .tame import AffineFactor, ElementaryFactor, Factor, Factorization
+from .tame import (
+    AffineFactor,
+    ElementaryFactor,
+    Factor,
+    Factorization,
+    _peel,
+    factorization_inverse,
+)
 
 
 def difference_quotient(p: UniPoly) -> BiPoly:
@@ -153,65 +161,36 @@ def is_embedding(gamma: Parametrization) -> EmbeddingReport:
     return EmbeddingReport(injective=inj.ok, immersion=imm.ok, witness=witness)
 
 
-def _eff_deg(p: UniPoly) -> int:
-    return max(p.degree(), 0)
-
-
 def rectify(gamma: Parametrization) -> Factorization:
     """Tame word Phi with Phi(gamma(t)) = (t, 0).
 
     Precondition: gamma is an embedding (checked; NotAnEmbedding raised
-    otherwise).  The loop reduces the degree of the higher component by
-    an elementary factor while both degrees exceed 1; the degree of the
-    higher component must be a multiple of the lower one or the input
-    would contradict the Abhyankar-Moh theorem.
+    otherwise).  tame's degree reduction peels elementary factors off the
+    curve until a component has degree at most 1; the finish then makes
+    that component t and clears the other.  Phi is the finish after the
+    inverse of the peeled word.  A reduction that stops early, or a
+    component left constant, would contradict the Abhyankar-Moh theorem.
     """
     report = is_embedding(gamma)
     if not (report.injective and report.immersion):
         raise NotAnEmbedding(report)
-    p, q = gamma.first, gamma.second
-    applied: list[Factor] = []
-
-    def push(fac: Factor):
-        nonlocal p, q
-        if not fac.is_identity():
-            applied.append(fac)
-            p, q = fac.apply((p, q))
-
-    while True:
-        mp, mq = _eff_deg(p), _eff_deg(q)
-        if mp == 0 and mq == 0:
-            raise AbhyankarMohViolation(
-                "both components constant on an embedded line", (p, q)
-            )
-        if mq == 1 and mp != 1:
-            push(AffineFactor(0, 1, 1, 0))
-            mp, mq = mq, mp
-        if mp == 1:
-            a, b = p.coeff(1), p.coeff(0)
-            push(AffineFactor(_cdiv(1, a), 0, 0, 1, _cdiv(-b, a), 0))
-            assert p == UniPoly.x()
-            push(ElementaryFactor("second", -q))
-            assert q.is_zero()
-            break
-        if mp == 0 or mq == 0:
-            raise AbhyankarMohViolation(
-                "one component constant, the other of degree >= 2", (p, q)
-            )
-        # Both degrees >= 2: peel the higher component (ties: the second).
-        hi_is_first = mp > mq
-        dh, dl = (mp, mq) if hi_is_first else (mq, mp)
-        if dh % dl:
-            raise AbhyankarMohViolation(
-                "degree of the higher component is not a multiple of the lower",
-                (p, q),
-            )
-        d = dh // dl
-        hi, lo = (p, q) if hi_is_first else (q, p)
-        lam = _cdiv(hi.lc(), lo.lc() ** d)
-        shift = UniPoly({d: -lam})
-        before = dh
-        push(ElementaryFactor("first" if hi_is_first else "second", shift))
-        after = _eff_deg(p if hi_is_first else q)
-        assert after < before, "elementary step failed to reduce the degree"
-    return Factorization(tuple(reversed(applied)))
+    peeled, (p, q), ok = _peel(gamma.first, gamma.second)
+    if not ok:
+        raise AbhyankarMohViolation(
+            "degree of the higher component is not a multiple of the lower", (p, q)
+        )
+    if 1 not in (p.degree(), q.degree()):
+        raise AbhyankarMohViolation(
+            "both components constant on an embedded line"
+            if max(p.degree(), q.degree()) < 1
+            else "one component constant, the other of degree >= 2",
+            (p, q),
+        )
+    finish: list[Factor] = []
+    if p.degree() != 1:
+        finish.append(AffineFactor(0, 1, 1, 0))
+        p, q = q, p
+    a, b = p.coeff(1), p.coeff(0)
+    finish += [AffineFactor(_cdiv(1, a), 0, 0, 1, _cdiv(-b, a), 0), ElementaryFactor("second", -q)]
+    finish = [f for f in reversed(finish) if not f.is_identity()]
+    return Factorization(tuple(finish) + factorization_inverse(Factorization(peeled)).factors)

@@ -6,13 +6,15 @@ univariate shift of one coordinate to the other).  A Factorization holds
 the word with factors applied right to left, matching function
 composition: Factorization((A, B, C)) is the map A o B o C.
 
-Recognition (decide_automorphism) runs the leading-form reduction: while
-both components have degree above 1, the higher-degree leading form must
-be a scalar multiple of a power of the other component's leading form,
-and subtracting that multiple strictly drops the degree.  Once one
-component is affine, inversion is direct (invert_low_degree).  Failure at
-any step returns a NotAutomorphism value carrying the residual map; it is
-a result, not an exception, because "not an automorphism" is a legitimate
+Recognition (decide_automorphism) is the Keller gate, then the
+leading-form reduction _peel: while both components have degree above 1,
+the higher-degree leading form must be a scalar multiple of a power of
+the other component's leading form, and subtracting that multiple
+strictly drops the degree.  Once one component is affine, inversion is
+direct (invert_low_degree).  _peel works on pairs of UniPoly as well, and
+embedding.rectify runs it on a curve's components.  Failure at any step
+returns a NotAutomorphism value carrying the residual map; it is a
+result, not an exception, because "not an automorphism" is a legitimate
 answer.
 """
 
@@ -38,9 +40,22 @@ from .errors import PreconditionViolated
 _AXES = ("first", "second")
 
 
+class _FactorMap:
+    """The map and the text of a factor, from its apply; a factor kind
+    sets _KIND, the word that starts its text."""
+
+    def to_map(self) -> PolyMap:
+        return PolyMap(*self.apply((BiPoly.x(), BiPoly.y())))
+
+    def render(self) -> str:
+        return self._KIND + " " + self.to_map().render()
+
+
 @dataclass(frozen=True)
-class AffineFactor:
+class AffineFactor(_FactorMap):
     """The affine map (x, y) |-> (a11 x + a12 y + b1, a21 x + a22 y + b2)."""
+
+    _KIND = "affine"
 
     a11: Coeff
     a12: Coeff
@@ -89,16 +104,9 @@ class AffineFactor:
             self.a21 * p + self.a22 * q + self.b2,
         )
 
-    def to_map(self) -> PolyMap:
-        f, g = self.apply((BiPoly.x(), BiPoly.y()))
-        return PolyMap(f, g)
-
-    def render(self) -> str:
-        return "affine " + self.to_map().render()
-
     def to_json_dict(self) -> dict:
         return {
-            "kind": "affine",
+            "kind": self._KIND,
             "matrix": [
                 [frac_pair(self.a11), frac_pair(self.a12)],
                 [frac_pair(self.a21), frac_pair(self.a22)],
@@ -108,9 +116,11 @@ class AffineFactor:
 
 
 @dataclass(frozen=True)
-class ElementaryFactor:
+class ElementaryFactor(_FactorMap):
     """For axis "first": (x, y) |-> (x + shift(y), y); for "second" the
     shift of the first coordinate is added to the second."""
+
+    _KIND = "elementary"
 
     axis: str
     shift: UniPoly
@@ -131,15 +141,8 @@ class ElementaryFactor:
             return (p + _horner(self.shift.terms(), q, 0), q)
         return (p, q + _horner(self.shift.terms(), p, 0))
 
-    def to_map(self) -> PolyMap:
-        f, g = self.apply((BiPoly.x(), BiPoly.y()))
-        return PolyMap(f, g)
-
-    def render(self) -> str:
-        return "elementary " + self.to_map().render()
-
     def to_json_dict(self) -> dict:
-        return {"kind": "elementary", "axis": self.axis, "shift": self.shift.render()}
+        return {"kind": self._KIND, "axis": self.axis, "shift": self.shift.render()}
 
 
 Factor = Union[AffineFactor, ElementaryFactor]
@@ -306,6 +309,36 @@ def _split_mixed(H: PolyMap, low_is_second: bool) -> Factorization:
     return Factorization(tuple(word))
 
 
+def _peel(a, b):
+    """Degree reduction of a pair of UniPoly or of BiPoly (Jung, van der Kulk).
+
+    While both total degrees exceed 1, the higher degree (on ties, the
+    second's) must be d times the lower, and the higher component's
+    leading form lam times that of lo^d; then lam * lo^d comes off it, a
+    strict drop in degree.  Returns (factors, (a', b'), ok) with
+    apply_factors(factors, (a', b')) == (a, b), one elementary factor per
+    step; ok is False when the reduction stopped with both degrees above 1.
+    """
+    peeled: list[Factor] = []
+    while True:
+        da, db = a.total_degree(), b.total_degree()
+        if min(da, db) <= 1:
+            return tuple(peeled), (a, b), True
+        first = da > db
+        hi, lo, dh, dl = (a, b, da, db) if first else (b, a, db, da)
+        if dh % dl:
+            return tuple(peeled), (a, b), False
+        d = dh // dl
+        power = lo**d
+        lam = _cdiv(hi.leading_term()[1], power.leading_term()[1])
+        if hi.leading_form() != power.leading_form() * lam:
+            return tuple(peeled), (a, b), False
+        reduced = hi - power * lam
+        assert reduced.total_degree() < dh, "elementary step failed to reduce the degree"
+        peeled.append(ElementaryFactor("first" if first else "second", UniPoly({d: lam})))
+        a, b = (reduced, b) if first else (a, reduced)
+
+
 def decide_automorphism(H: PolyMap):
     """Recognize H as a tame automorphism.
 
@@ -313,39 +346,12 @@ def decide_automorphism(H: PolyMap):
     NotAutomorphism value explaining where recognition stopped.
     """
     gate = is_keller(H)
-    jac = gate.jacobian
     if not gate.is_keller:
-        return NotAutomorphism("JacobianNotConstant", H, jac)
-    f, g = H.first, H.second
-    peeled: list[Factor] = []
-    while True:
-        df, dg = f.total_degree(), g.total_degree()
-        if min(df, dg) <= 1:
-            break
-        # Reduce the higher-degree component; on ties reduce the second.
-        if df > dg:
-            hi, lo, hi_axis, dh, dl = f, g, "first", df, dg
-        else:
-            hi, lo, hi_axis, dh, dl = g, f, "second", dg, df
-        if dh % dl:
-            return NotAutomorphism("ReductionFailed", PolyMap(f, g), jac)
-        d = dh // dl
-        target = lo.leading_form() ** d
-        key, lead_c = target.leading_term()
-        # lam = 0 when hi lacks the term, and then the forms differ.
-        lam = _cdiv(hi.coeff(*key), lead_c)
-        if hi.leading_form() != target * lam:
-            return NotAutomorphism("ReductionFailed", PolyMap(f, g), jac)
-        reduced = hi - (lo**d) * lam
-        assert reduced.total_degree() < dh
-        shift = UniPoly({d: lam})
-        peeled.append(ElementaryFactor(hi_axis, shift))
-        if hi_axis == "first":
-            f = reduced
-        else:
-            g = reduced
-    tail = invert_low_degree(PolyMap(f, g))
-    word = Factorization(tuple(peeled) + tail.factors)
+        return NotAutomorphism("JacobianNotConstant", H, gate.jacobian)
+    peeled, (f, g), ok = _peel(H.first, H.second)
+    if not ok:
+        return NotAutomorphism("ReductionFailed", PolyMap(f, g), gate.jacobian)
+    word = Factorization(peeled + invert_low_degree(PolyMap(f, g)).factors)
     assert factorization_to_map(word) == H, "recognized word fails to recompose"
     return word
 

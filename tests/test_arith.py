@@ -326,8 +326,17 @@ class TestBiPoly:
             Fraction(4, 3) - cls.constant(Fraction(1, 3)),
         ]
         assert sums == [cls.x(), cls.x(), cls.one()]
-        for total in sums:
+        half = (cls.x() + 1) * Fraction(1, 2)
+        products = [half * cls.constant(2), half * (cls.x() * 2 - 2)]
+        assert products == [cls.x() + 1, cls.x() ** 2 - 1]
+        for total in sums + products:
             _assert_stored_reduced(total)
+        if cls is UniPoly:
+            dividend = UniPoly({2: 1, 1: Fraction(3, 2), 0: Fraction(5, 2)})
+            q, r = divmod(dividend, UniPoly({1: 1, 0: Fraction(1, 2)}))
+            assert (q, r) == (cls.x() + 1, cls.constant(2))
+            _assert_stored_reduced(q)
+            _assert_stored_reduced(r)
 
     def test_product_denominators_cancel(self):
         a = BiPoly({(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 2)})

@@ -6,6 +6,7 @@ pin the exact serialized output across releases.
 """
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -318,10 +319,15 @@ class TestCommands:
         assert payload["jacobian"] == "2*x"
 
     def test_prove_line_bad_line_values(self, capsys):
-        for bad in ["1,2", "a,b,c", "1,2,3,4", "1/0,1,0"]:
+        # Non-ASCII digits, '_', spaces and exponents inside a coefficient
+        # are refused on every Python, though Fraction() reads some of them.
+        for bad in ["1,2", "a,b,c", "1,2,3,4", "1/0,1,0",
+                    "\u0663,1,0", "\uff11,1,0", "1_0,1,0", "1 /2,1,0",
+                    "1e5,1,0", "1e4000000,1,0", "1.5/2,1,0"]:
             assert main(["prove-line", "x + y^2", "y", "--line", bad]) == 3
-            err = capsys.readouterr().err
-            assert "invalid --line" in err
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: invalid --line value: ")
 
     def test_prove_line_zero_denominator_in_line(self, capsys):
         assert main(["prove-line", "x + y^2", "y", "--line", "1,3/0,0"]) == 3
@@ -485,6 +491,34 @@ class TestSubprocess:
         assert proc.returncode == 3
         assert proc.stdout == b""
         assert proc.stderr == b"error: expected a number (line 1, column 3)\n"
+
+    @pytest.mark.parametrize("args", [
+        ["jac", "x + y^2", "y"],
+        ["prove-line", "x + y^2", "y", "--line", "0,1,0", "--json"],
+        ["is-auto", "x^2", "y"],
+        ["similar", "x", "y", "--json"],
+    ])
+    def test_closed_stdout_is_an_error(self, args):
+        # Positive and negative answers alike: the reader has gone away.
+        # Without PYTHONUNBUFFERED stdout to a pipe is block-buffered, as for
+        # most users: the write fails at the flush, not in print.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kellerkit", *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert b"Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("name,args", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
     def test_golden(self, name, args):

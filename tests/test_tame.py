@@ -21,9 +21,9 @@ from kellerkit import (
     invert_low_degree,
     random_tame,
 )
-from kellerkit.tame import apply_factors
+from kellerkit.tame import _peel, apply_factors
 
-from conftest import draw_tame_word
+from conftest import draw_tame_word, random_bipoly, random_unipoly
 
 
 def x():
@@ -308,6 +308,40 @@ class TestDecideAutomorphism:
     def test_render(self):
         result = decide_automorphism(PolyMap(x() ** 2, y()))
         assert "JacobianNotConstant" in result.render()
+
+
+class TestPeel:
+    """The degree reduction shared by decide_automorphism and rectify."""
+
+    @pytest.mark.parametrize("cls", [UniPoly, BiPoly])
+    def test_factors_rebuild_the_input(self, rng, cls):
+        stops = set()
+        for seed in range(40):
+            if cls is UniPoly:
+                low = (random_unipoly(rng, 1, 4), random_unipoly(rng, 3, 4))
+            else:
+                low = (random_bipoly(rng, 1, 4), random_bipoly(rng, 2, 4))
+            word = random_tame(seed, rng.randint(0, 3), 3, 3, affine_probability=0)
+            pair = apply_factors(word, low)
+            factors, residual, ok = _peel(*pair)
+            assert apply_factors(factors, residual) == pair
+            degrees = [p.total_degree() for p in residual]
+            assert ok == (min(degrees) <= 1)
+            for f in factors:
+                assert isinstance(f, ElementaryFactor) and len(f.shift.terms()) == 1
+            stops.add((ok, len(factors) > 0))
+        assert (True, True) in stops
+
+    def test_curve_with_coprime_degrees_stops(self):
+        t = UniPoly.x()
+        assert _peel(t**2, t**3) == ((), (t**2, t**3), False)
+        factors, residual, ok = _peel(t**2, t**4 + t**3)
+        assert not ok and residual == (t**2, t**3)
+        assert factors == (ElementaryFactor("second", UniPoly({2: 1})),)
+        assert apply_factors(factors, residual) == (t**2, t**4 + t**3)
+
+    def test_map_with_unlike_leading_forms_stops(self):
+        assert _peel(x() ** 2, y() ** 2) == ((), (x() ** 2, y() ** 2), False)
 
 
 class TestRandomTame:
