@@ -1,7 +1,7 @@
 """Command line interface and the polynomial text format.
 
-Grammar for polynomial arguments (whitespace is insignificant between
-tokens):
+Grammar for polynomial arguments, whose tokens may be separated by space,
+tab, CR and LF and by nothing else; digits are ASCII '0' to '9':
 
     poly  := ['-'] term (('+' | '-') term)*
     term  := coeff ('*' monom)? | monom
@@ -68,139 +68,98 @@ from .tame import (
 
 
 class _Parser:
+    """Recursive descent over tokens: runs of ASCII digits and single
+    characters other than whitespace, each with its index in the text, and
+    an end token '' at the end of the text."""
+
     def __init__(self, text: str, variables: tuple[str, ...]):
         self.text = text
-        self.i = 0
-        self.n = len(text)
         self.vars = variables
+        self.toks = [(m.group(), m.start()) for m in re.finditer(r"[0-9]+|[^ \t\r\n]", text)]
+        self.toks.append(("", len(text)))
+        self.k = 0
 
-    def _location(self, idx: int) -> tuple[int, int]:
-        line = self.text.count("\n", 0, idx) + 1
-        col = idx - (self.text.rfind("\n", 0, idx) + 1) + 1
-        return line, col
+    def _where(self) -> tuple[int, int]:
+        """Line and column of the current token, both from 1."""
+        idx = self.toks[self.k][1]
+        return self.text.count("\n", 0, idx) + 1, idx - self.text.rfind("\n", 0, idx)
 
-    def _fail(self, message: str, idx: int, expected: str):
-        line, col = self._location(idx)
-        raise ParseError(message, line, col, expected)
-
-    def _skip_ws(self):
-        while self.i < self.n and self.text[self.i] in " \t\r\n":
-            self.i += 1
+    def _fail(self, message: str, expected: str):
+        raise ParseError(message, *self._where(), expected)
 
     def _peek(self) -> str:
-        return self.text[self.i] if self.i < self.n else ""
+        return self.toks[self.k][0]
+
+    def _take(self, tok: str) -> bool:
+        if self._peek() != tok:
+            return False
+        self.k += 1
+        return True
 
     def parse(self) -> BiPoly:
-        self._skip_ws()
-        if self.i >= self.n:
-            self._fail("empty input", self.i, "a term")
-        total = BiPoly.zero()
-        sign = 1
-        if self._peek() == "-":
-            self.i += 1
-            self._skip_ws()
-            sign = -1
-        total = total + self._term() * sign
+        if not self._peek():
+            self._fail("empty input", "a term")
+        terms = {}
+        sign = -1 if self._take("-") else 1
         while True:
-            self._skip_ws()
-            ch = self._peek()
-            if not ch:
-                return total
-            if ch == "+":
+            c, key = self._term()
+            terms[key] = terms.get(key, 0) + sign * c
+            if self._take("+"):
                 sign = 1
-            elif ch == "-":
+            elif self._take("-"):
                 sign = -1
+            elif self._peek():
+                self._fail("unexpected character %r" % self._peek()[0], "'+', '-', or end of input")
             else:
-                self._fail("unexpected character %r" % ch, self.i, "'+', '-', or end of input")
-            self.i += 1
-            self._skip_ws()
-            total = total + self._term() * sign
+                return BiPoly(terms)
 
-    def _term(self) -> BiPoly:
-        ch = self._peek()
-        if "0" <= ch <= "9":
+    def _term(self) -> tuple:
+        """The coefficient and the exponents (i, j) of one term."""
+        tok = self._peek()
+        if "0" <= tok[:1] <= "9":
             c = self._coeff()
-            save = self.i
-            self._skip_ws()
-            if self._peek() == "*":
-                self.i += 1
-                self._skip_ws()
-                return self._monom() * c
-            self.i = save
-            return BiPoly.constant(c)
-        if ch.isalpha():
-            return self._monom()
+            return c, self._monom() if self._take("*") else (0, 0)
+        if tok.isalpha():
+            return 1, self._monom()
         self._fail(
-            "expected a term" if ch else "unexpected end of input",
-            self.i,
+            "expected a term" if tok else "unexpected end of input",
             "a coefficient or a variable",
         )
 
     def _nat(self) -> int:
-        start = self.i
-        while self.i < self.n and "0" <= self.text[self.i] <= "9":
-            self.i += 1
-        if start == self.i:
-            self._fail("expected a number", self.i, "a digit")
-        return int(self.text[start : self.i])
+        tok = self._peek()
+        if not "0" <= tok[:1] <= "9":
+            self._fail("expected a number", "a digit")
+        self.k += 1
+        return int(tok)
 
     def _coeff(self):
         num = self._nat()
-        save = self.i
-        self._skip_ws()
-        if self._peek() == "/":
-            self.i += 1
-            self._skip_ws()
-            den_at = self.i
-            den = self._nat()
-            if den == 0:
-                line, col = self._location(den_at)
-                raise DenominatorZero(line, col)
-            return Fraction(num, den)
-        self.i = save
-        return num
+        if not self._take("/"):
+            return num
+        where = self._where()
+        den = self._nat()
+        if den == 0:
+            raise DenominatorZero(*where)
+        return Fraction(num, den)
 
-    def _monom(self) -> BiPoly:
-        exps = {v: 0 for v in self.vars}
-        self._read_var_power(exps)
-        while True:
-            save = self.i
-            self._skip_ws()
-            if self._peek() != "*":
-                self.i = save
-                break
-            self.i += 1
-            self._skip_ws()
-            self._read_var_power(exps)
-        i = exps.get("x", 0)
-        j = exps.get("y", 0)
-        return BiPoly({(i, j): 1})
+    def _monom(self) -> tuple[int, int]:
+        exps = dict.fromkeys(self.vars, 0)
+        self._var_power(exps)
+        while self._take("*"):
+            self._var_power(exps)
+        return exps["x"], exps.get("y", 0)
 
-    def _read_var_power(self, exps: dict):
-        ch = self._peek()
-        if not ch.isalpha():
+    def _var_power(self, exps: dict):
+        var = self._peek()
+        if var not in exps:
             self._fail(
-                "expected a variable" if ch else "unexpected end of input",
-                self.i,
+                "unknown variable %r" % var if var.isalpha()
+                else "expected a variable" if var else "unexpected end of input",
                 " or ".join("'%s'" % v for v in self.vars),
             )
-        if ch not in exps:
-            self._fail(
-                "unknown variable %r" % ch,
-                self.i,
-                " or ".join("'%s'" % v for v in self.vars),
-            )
-        self.i += 1
-        e = 1
-        save = self.i
-        self._skip_ws()
-        if self._peek() == "^":
-            self.i += 1
-            self._skip_ws()
-            e = self._nat()
-        else:
-            self.i = save
-        exps[ch] += e
+        self.k += 1
+        exps[var] += self._nat() if self._take("^") else 1
 
 
 def parse_bipoly(text: str) -> BiPoly:
@@ -549,6 +508,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(_join_line_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 3
+    # argparse gives a positional that is a '--' after the first '--' as [].
+    vars(args).update({k: "--" for k, v in vars(args).items() if v == []})
     # Printing stays inside the try: a closed stdout is an OSError, exit 3.
     try:
         code, payload, lines = _answer(args)
@@ -568,4 +529,8 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # Lift the interpreter's limit on int/str conversion (Python 3.11 and
+    # later) for the process: coefficients are as long as the arguments.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     raise SystemExit(main())

@@ -5,6 +5,8 @@ interpreter via ``python -m kellerkit`` and compare bytes, so the files
 pin the exact serialized output across releases.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kellerkit import (
@@ -22,6 +24,7 @@ from kellerkit import (
     DenominatorZero,
     ElementaryFactor,
     Factorization,
+    KellerKitError,
     ParseError,
     PolyMap,
     TheoremViolationWitness,
@@ -77,6 +80,8 @@ class TestParseBipoly:
         assert parse_bipoly(" x+y ") == parse_bipoly("x + y")
         assert parse_bipoly("2 * x ^ 2") == parse_bipoly("2*x^2")
         assert parse_bipoly("x\n+\ny") == parse_bipoly("x + y")
+        assert parse_bipoly("x^ 2") == BiPoly({(2, 0): 1})
+        assert parse_bipoly("1 / 2 * x") == BiPoly({(1, 0): Fraction(1, 2)})
 
     def test_repeated_variables_accumulate(self):
         assert parse_bipoly("x*x") == BiPoly({(2, 0): 1})
@@ -146,6 +151,29 @@ class TestParseBipoly:
         with pytest.raises(ParseError):
             parse_bipoly("x^-2")
 
+    @pytest.mark.parametrize("text,error,message,line,column,expected", [
+        ("2 x", ParseError, "unexpected character 'x'", 1, 3, "'+', '-', or end of input"),
+        ("x2", ParseError, "unexpected character '2'", 1, 2, "'+', '-', or end of input"),
+        ("x 23", ParseError, "unexpected character '2'", 1, 3, "'+', '-', or end of input"),
+        ("1/2/3", ParseError, "unexpected character '/'", 1, 4, "'+', '-', or end of input"),
+        ("2*3", ParseError, "expected a variable", 1, 3, "'x' or 'y'"),
+        ("x*", ParseError, "unexpected end of input", 1, 3, "'x' or 'y'"),
+        ("x +\n", ParseError, "unexpected end of input", 2, 1, "a coefficient or a variable"),
+        ("x\x0c", ParseError, "unexpected character '\\x0c'", 1, 2, "'+', '-', or end of input"),
+        ("1/ 0", DenominatorZero, "denominator is zero", 1, 4, None),
+        ("x + \u00e9", ParseError, "unknown variable '\u00e9'", 1, 5, "'x' or 'y'"),
+        ("--x", ParseError, "expected a term", 1, 2, "a coefficient or a variable"),
+        ("x^-2", ParseError, "expected a number", 1, 3, "a digit"),
+        ("- ", ParseError, "unexpected end of input", 1, 3, "a coefficient or a variable"),
+    ])
+    def test_error_position(self, text, error, message, line, column, expected):
+        with pytest.raises(KellerKitError) as exc:
+            parse_bipoly(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == "%s (line %d, column %d)" % (message, line, column)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert getattr(exc.value, "expected", None) == expected
+
     @pytest.mark.parametrize(
         "text,column",
         [("x^\u00b2", 3), ("x^\u0663", 3), ("x^\uff11", 3), ("\u0663*x", 1), ("x + 2\u0663", 6)],
@@ -166,8 +194,10 @@ class TestParseUnipoly:
         with pytest.raises(ParseError) as exc:
             parse_unipoly("y")
         assert exc.value.expected == "'x'"
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_unipoly("x*y")
+        assert str(exc.value) == "unknown variable 'y' (line 1, column 3)"
+        assert exc.value.expected == "'x'"
 
 
 coeffs = st.one_of(
@@ -438,6 +468,11 @@ class TestExitCodes:
         assert main(["polygon", "1/0*x"]) == 3
         assert "denominator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["jac", "x", "--", "--"], ["embed-check", "--", "x", "--"]])
+    def test_second_double_dash_is_a_polynomial(self, capsys, argv):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: expected a term (line 1, column 2)\n"
+
     def test_usage_error_is_three(self, capsys):
         assert main([]) == 3
         capsys.readouterr()
@@ -463,6 +498,46 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "rectify", boom)
         assert main(["rectify", "x", "0"]) == 4
         assert "internal contradiction" in capsys.readouterr().err
+
+
+# Small exponents keep every command quick; prove-line is left out, where a
+# two-digit exponent makes one proof take seconds.
+@st.composite
+def _random_grammar_polys(draw):
+    text = draw(st.sampled_from(["", "-", "- "]))
+    for k in range(draw(st.integers(1, 4))):
+        if k:
+            text += draw(st.sampled_from([" + ", " - ", "+", "-"]))
+        coeff = draw(st.sampled_from(["", "0", "1", "2", "3/2", "4/1", "0/5"]))
+        powers = draw(st.lists(st.sampled_from(["x", "y", "x^2", "y^3", "x^0", "x ^ 1"]), max_size=3))
+        text += "*".join(([coeff] if coeff else []) + powers) or "1"
+    return text
+
+
+FUZZ_ARGUMENTS = st.one_of(
+    # Components of automorphisms and embeddings, so positive answers occur.
+    st.sampled_from(["x", "y", "x + y^2", "y - x^3", "-1/2*x^2 + y", "x^2", "x^3 + x"]),
+    _random_grammar_polys(),
+    st.text(alphabet="xy0123+-*/^ \u00e9\u00b2\u0663\x0c@", max_size=12),
+)
+FUZZ_ARITY = {
+    "jac": 2, "polygon": 1, "similar": 2, "is-auto": 2, "invert": 2, "embed-check": 2, "rectify": 2,
+}
+
+
+class TestFuzzedArguments:
+    @settings(max_examples=400)
+    @given(st.sampled_from(sorted(FUZZ_ARITY)), st.booleans(), st.data())
+    def test_exit_code_and_output(self, command, as_json, data):
+        args = data.draw(st.lists(FUZZ_ARGUMENTS, min_size=FUZZ_ARITY[command],
+                                  max_size=FUZZ_ARITY[command]))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *(["--json"] if as_json else []), "--", *args])
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 3:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +566,30 @@ class TestSubprocess:
         assert proc.returncode == 3
         assert proc.stdout == b""
         assert proc.stderr == b"error: expected a number (line 1, column 3)\n"
+
+    # Longer than the interpreter's default limit on int/str conversion
+    # (4,300 digits on Python 3.11 and later), which the console script lifts.
+    def test_big_coefficient(self):
+        nines = "9" * 5000
+        proc = run_module(["jac", nines + "*x", "y"])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == ("jacobian: %s\nkeller: true\n" % nines).encode()
+
+    def test_big_jacobian_as_json(self):
+        power = "1" + "0" * 3000
+        proc = run_module(["jac", power + "*x^2", power + "*y", "--json"])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert json.loads(proc.stdout)["jacobian"] == "2" + "0" * 6000 + "*x"
+
+    def test_big_coefficient_certificate_replays(self, tmp_path):
+        digits = "7" * 5000
+        path = tmp_path / "cert.json"
+        proc = run_module([
+            "prove-line", digits + "*x + y^2", "y", "--line", "0,1,0", "--certificate", str(path),
+        ])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.endswith(b"final_check: true\n")
+        assert digits in path.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("args", [
         ["jac", "x + y^2", "y"],
