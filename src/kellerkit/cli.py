@@ -22,12 +22,13 @@ reported rather than assumed away).
 Every command returns its answer, negative ones included, as (exit code,
 JSON payload, text lines), and main prints it in one place.  Failures,
 an answer that cannot be written (a closed stdout) among them, are one
-line on stderr.
+line on stderr, and keep their exit code when stderr is closed too.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -130,8 +131,13 @@ class _Parser:
         tok = self._peek()
         if not "0" <= tok[:1] <= "9":
             self._fail("expected a number", "a digit")
+        try:
+            value = int(tok)
+        except ValueError:
+            # Over the interpreter's int/str digit limit (3.11, 3.10.7 and later).
+            self._fail("number longer than the interpreter allows", "a shorter number")
         self.k += 1
-        return int(tok)
+        return value
 
     def _coeff(self):
         num = self._nat()
@@ -502,6 +508,17 @@ def _join_line_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _print(text: str, stream) -> None:
+    """Print text and flush.  On an OSError (a closed stream) point its descriptor
+    at devnull, so the flush at exit cannot fail again, and re-raise."""
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -513,18 +530,12 @@ def main(argv=None) -> int:
     # Printing stays inside the try: a closed stdout is an OSError, exit 3.
     try:
         code, payload, lines = _answer(args)
-        try:
-            print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
-            sys.stdout.flush()
-        except OSError:
-            # Point stdout at devnull so the flush at exit cannot fail again
-            # (the Python docs' note on SIGPIPE).
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise
+        _print(json.dumps(payload, indent=2) if args.json else "\n".join(lines), sys.stdout)
         return code
     except _types(_ERRORS) as exc:
         code, prefix = _row(_ERRORS, exc)
-        print("%s: %s" % (prefix, exc), file=sys.stderr)
+        with contextlib.suppress(OSError):
+            _print("%s: %s" % (prefix, exc), sys.stderr)
         return code
 
 

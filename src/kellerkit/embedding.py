@@ -102,12 +102,7 @@ def is_injective_param(gamma: Parametrization) -> Check:
     if dp.is_constant() or dq.is_constant():
         # A nonzero constant quotient has no zeros at all, shared or not.
         return Check(True, None)
-    # Put the quotient of the higher-degree component first so its
-    # constant y-leading coefficient guards the resultant.
-    if dp.degree_y() >= dq.degree_y():
-        res = resultant_y(dp, dq)
-    else:
-        res = resultant_y(dq, dp)
+    res = resultant_y(dp, dq)
     if res.is_zero():
         return Check(False, gcd_bivariate(dp, dq))
     if res.is_constant():

@@ -11,11 +11,13 @@ leading-form reduction _peel: while both components have degree above 1,
 the higher-degree leading form must be a scalar multiple of a power of
 the other component's leading form, and subtracting that multiple
 strictly drops the degree.  Once one component is affine, inversion is
-direct (invert_low_degree).  _peel works on pairs of UniPoly as well, and
-embedding.rectify runs it on a curve's components.  Failure at any step
-returns a NotAutomorphism value carrying the residual map; it is a
-result, not an exception, because "not an automorphism" is a legitimate
-answer.
+direct (invert_low_degree): that component, completed with y (with x
+when it has no x term), is an affine map A1^{-1}, and H o A1 is one
+elementary factor and one scaling.  _peel works on pairs of UniPoly as
+well, and embedding.rectify runs it on a curve's components.  Failure at
+any step returns a NotAutomorphism value carrying the residual map; it is
+a result, not an exception, because "not an automorphism" is a
+legitimate answer.
 """
 
 from __future__ import annotations
@@ -225,6 +227,14 @@ def _require_keller(H: PolyMap) -> BiPoly:
     return gate.jacobian
 
 
+def _affine(f: BiPoly, g: BiPoly) -> AffineFactor:
+    """The affine factor (f, g), for f and g of degree at most 1."""
+    return AffineFactor(
+        f.coeff(1, 0), f.coeff(0, 1), g.coeff(1, 0), g.coeff(0, 1),
+        f.coeff(0, 0), g.coeff(0, 0),
+    )
+
+
 def invert_low_degree(H: PolyMap) -> Factorization:
     """Factor an automorphism with min(deg f, deg g) <= 1.
 
@@ -232,81 +242,44 @@ def invert_low_degree(H: PolyMap) -> Factorization:
     component has total degree at most 1.  Under those, the map is a
     composition of at most two affine factors and one elementary factor,
     which this returns (identity factors dropped).
+
+    When only the component of index low is affine, H = A2 o E o A1^{-1}:
+    A1^{-1} completes that component with y (with x when it has no x term),
+    so component low of H o A1 is coordinate low, and the constant Jacobian
+    makes the other alpha times its own coordinate plus a shift in
+    coordinate low.  A2 scales that slot by alpha; E adds shift/alpha.
     """
     _require_keller(H)
-    f, g = H.first, H.second
-    df, dg = f.total_degree(), g.total_degree()
+    pair = (H.first, H.second)
+    df, dg = (p.total_degree() for p in pair)
     if min(df, dg) > 1:
-        raise PreconditionViolated(
-            "DegreeTooHigh", "both components have degree > 1"
-        )
+        raise PreconditionViolated("DegreeTooHigh", "both components have degree > 1")
     # A constant component would force a zero Jacobian, caught above.
     assert df >= 1 and dg >= 1
-
-    if df <= 1 and dg <= 1:
-        fac = AffineFactor(
-            f.coeff(1, 0), f.coeff(0, 1), g.coeff(1, 0), g.coeff(0, 1),
-            f.coeff(0, 0), g.coeff(0, 0),
-        )
+    if max(df, dg) == 1:
+        fac = _affine(*pair)
         return Factorization(() if fac.is_identity() else (fac,))
 
-    return _split_mixed(H, low_is_second=(dg == 1))
-
-
-def _split_mixed(H: PolyMap, low_is_second: bool) -> Factorization:
-    """Split H = A2 o E o A1^{-1} when exactly one component is affine.
-
-    A1 is chosen so the low-degree component of H o A1 becomes the matching
-    coordinate; the Jacobian hypothesis then forces the other component of
-    H o A1 to be coordinate-affine plus a univariate shift, which is A2 o E.
-    """
-    f, g = H.first, H.second
-    if low_is_second:
-        c, d_, e = g.coeff(1, 0), g.coeff(0, 1), g.coeff(0, 0)
-        if c:
-            a1 = AffineFactor(_cdiv(-d_, c), _cdiv(1, c), 1, 0, _cdiv(-e, c), 0)
-        else:
-            a1 = AffineFactor(1, 0, 0, _cdiv(1, d_), 0, _cdiv(-e, d_))
-    else:
-        a, b, e = f.coeff(1, 0), f.coeff(0, 1), f.coeff(0, 0)
-        if a:
-            a1 = AffineFactor(_cdiv(1, a), _cdiv(-b, a), 0, 1, _cdiv(-e, a), 0)
-        else:
-            a1 = AffineFactor(0, 1, _cdiv(1, b), 0, 0, _cdiv(-e, b))
-    p1, q1 = a1.apply((BiPoly.x(), BiPoly.y()))
-    sub = Substitution(p1, q1)
-    k1, k2 = sub.apply(f), sub.apply(g)
-    if low_is_second:
-        assert k2 == BiPoly.y(), "normalization failed to fix the second coordinate"
-        main, keep_axis = k1, "first"
-        alpha = main.coeff(1, 0)
-        shift_terms = {j: main.coeff(0, j) for j in range(main.degree_y() + 1)} \
-            if main.degree_y() >= 0 else {}
-        allowed = {(1, 0)} | {(0, j) for j in shift_terms}
-    else:
-        assert k1 == BiPoly.x(), "normalization failed to fix the first coordinate"
-        main, keep_axis = k2, "second"
-        alpha = main.coeff(0, 1)
-        shift_terms = {i: main.coeff(i, 0) for i in range(main.degree_x() + 1)} \
-            if main.degree_x() >= 0 else {}
-        allowed = {(0, 1)} | {(i, 0) for i in shift_terms}
-    assert alpha and main.support() <= frozenset(allowed), (
+    low = 0 if df == 1 else 1
+    hi = 1 - low
+    lin, xy = pair[low], (BiPoly.x(), BiPoly.y())
+    completion = xy[1] if lin.coeff(1, 0) else xy[0]
+    a1_inv = _affine(lin, completion) if low == 0 else _affine(completion, lin)
+    sub = Substitution(*a1_inv.inverse().apply(xy))
+    normal = [sub.apply(p) for p in pair]
+    assert normal[low] == xy[low], (
+        "normalization failed to fix the %s coordinate" % _AXES[low]
+    )
+    main = normal[hi]
+    unit = (1, 0) if hi == 0 else (0, 1)
+    alpha = main.coeff(*unit)
+    assert alpha and all(e == unit or not e[hi] for e in main.support()), (
         "constant Jacobian must force a triangular normalized map"
     )
-    shift = UniPoly({k: _cdiv(v, alpha) for k, v in shift_terms.items() if v})
-    if low_is_second:
-        a2 = AffineFactor(alpha, 0, 0, 1)
-    else:
-        a2 = AffineFactor(1, 0, 0, alpha)
-    word = []
-    if not a2.is_identity():
-        word.append(a2)
-    if not shift.is_zero():
-        word.append(ElementaryFactor(keep_axis, shift))
-    a1_inv = a1.inverse()
-    if not a1_inv.is_identity():
-        word.append(a1_inv)
-    return Factorization(tuple(word))
+    shift = UniPoly({e[low]: _cdiv(c, alpha) for e, c in main.terms() if not e[hi]})
+    a2 = AffineFactor(alpha, 0, 0, 1) if hi == 0 else AffineFactor(1, 0, 0, alpha)
+    word = (a2, ElementaryFactor(_AXES[hi], shift), a1_inv)
+    return Factorization(tuple(f for f in word if not f.is_identity()))
 
 
 def _peel(a, b):

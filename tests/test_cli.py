@@ -473,6 +473,21 @@ class TestExitCodes:
         assert main(argv) == 3
         assert capsys.readouterr().err == "error: expected a term (line 1, column 2)\n"
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+    )
+    def test_number_over_the_digit_limit_is_three(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ParseError) as exc:
+                parse_bipoly("x + " + "9" * 5000 + "*x")
+            assert (exc.value.line, exc.value.column) == (1, 5)
+            assert main(["jac", "9" * 5000 + "*x", "y"]) == 3
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr().err.startswith("error: number longer than")
+
     def test_usage_error_is_three(self, capsys):
         assert main([]) == 3
         capsys.readouterr()
@@ -618,6 +633,30 @@ class TestSubprocess:
         lines = proc.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
         assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args,stdout_too", [
+        (["jac", "x~", "y"], False),
+        (["jac", "x", "y"], True),
+    ])
+    def test_closed_stderr_keeps_the_exit_code(self, args, stdout_too):
+        # A failure whose message cannot be written: a parse error with a
+        # closed stderr, and a closed stdout sharing that pipe, as in
+        # `kellerkit ... 2>&1 | head -1` once head has exited.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kellerkit", *args],
+                stdout=write_end if stdout_too else subprocess.PIPE,
+                stderr=write_end,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stdout in (None, b"")
 
     @pytest.mark.parametrize("name,args", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
     def test_golden(self, name, args):

@@ -196,6 +196,25 @@ class TestInvertLowDegree:
         inv = factorization_to_map(factorization_inverse(word))
         assert compose_map(inv, H).is_identity()
 
+    # Certificates record these words.  One map per way to complete the
+    # affine component: it is second or first, with or without an x term;
+    # then a map with both components affine.
+    @pytest.mark.parametrize("H,rendered", [
+        (
+            PolyMap(x() + (x() + y()) ** 2, x() + y()),
+            "affine (-x, y)\nelementary (-y^2 + x - y, y)\naffine (y, x + y)",
+        ),
+        (PolyMap(x() + y() ** 2, y()), "elementary (y^2 + x, y)"),
+        (
+            PolyMap(x() + 2 * y() + 1, y() + (x() + 2 * y() + 1) ** 2),
+            "elementary (x, x^2 + y)\naffine (x + 2*y + 1, y)",
+        ),
+        (PolyMap(y(), x() - y() ** 3), "elementary (x, -x^3 + y)\naffine (y, x)"),
+        (PolyMap(2 * x() + 1, 3 * y()), "affine (2*x + 1, 3*y)"),
+    ])
+    def test_exact_words(self, H, rendered):
+        assert invert_low_degree(H).render() == rendered
+
     def test_rejects_non_keller(self):
         with pytest.raises(PreconditionViolated) as exc:
             invert_low_degree(PolyMap(x(), y() + y() ** 2))
