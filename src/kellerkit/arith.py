@@ -8,18 +8,21 @@ integer-only paths stay on machine arithmetic.  Zero coefficients are
 never stored.  All values are immutable after construction and every
 operation returns a fresh object.
 
-BiPoly products run on Python ints: each operand is read once as integer
+BiPoly products and substitutions run on Python ints, through one
+integer product kernel, _convolve.  Each operand is read once as integer
 numerators over the lcm of its denominators (an all-int operand as it is
-stored), the numerators are convolved, and each product term is divided
-once by the product of the two denominators, giving an int where it
-divides and a reduced Fraction otherwise.  UniPoly products, small and
-mostly integral, multiply the stored coefficients directly and then
-store integral Fractions as ints.
+stored); the work is done on the numerators alone, and the result is
+divided once, at the end, by the product of the denominators, giving an
+int where it divides and a reduced Fraction otherwise.  A product
+convolves the two operands' numerators.  Substitution of (u, v) into p,
+which also evaluates a BiPoly at a point, sums p's rows over cached
+powers of u's numerators into one accumulator and runs Horner's rule in
+v's numerators, all on int dicts (see Substitution).  UniPoly products,
+small and mostly integral, multiply the stored coefficients directly and
+then store integral Fractions as ints.
 
-Evaluation and substitution use one Horner loop, _horner: UniPoly calls
-and compositions, elementary factors, and Substitution, whose rows (the
-terms sharing a power of y, summed over cached powers of u) are the
-coefficients of a polynomial in v.
+UniPoly calls and compositions and elementary factors evaluate by one
+generic Horner loop, _horner, over their own ring.
 
 The canonical term order is graded lexicographic with x heavier than y:
 higher total degree first, ties broken by the exponent of x.  One render
@@ -426,6 +429,34 @@ def _over(numerators: dict, d: int) -> dict:
     return out
 
 
+def _convolve(a, b) -> dict:
+    """The integer product kernel: the product of two bivariate term lists
+    ((i, j), n) with int n, as a dict free of zero coefficients."""
+    out: dict[tuple[int, int], int] = {}
+    get = out.get
+    for (i1, j1), v1 in a:
+        for (i2, j2), v2 in b:
+            k = (i1 + i2, j1 + j2)
+            s = get(k, 0) + v1 * v2
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _axpy(acc: dict, c: int, terms) -> None:
+    """acc += c * terms in place, for a nonzero int c and int terms;
+    sums that cancel are dropped."""
+    get = acc.get
+    for k, v in terms:
+        s = get(k, 0) + c * v
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
+
+
 class BiPoly(_SparsePoly):
     """Sparse bivariate polynomial in x and y with exact rational coefficients."""
 
@@ -469,17 +500,7 @@ class BiPoly(_SparsePoly):
             return NotImplemented
         a, da = _numerators(self._t)
         b, db = _numerators(other._t)
-        out: dict[tuple[int, int], int] = {}
-        get = out.get
-        for (i1, j1), v1 in a:
-            for (i2, j2), v2 in b:
-                k = (i1 + i2, j1 + j2)
-                s = get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return BiPoly._new(_over(out, da * db))
+        return BiPoly._new(_over(_convolve(a, b), da * db))
 
     __rmul__ = __mul__
 
@@ -505,9 +526,7 @@ class BiPoly(_SparsePoly):
         return Substitution(u, v).apply(self)
 
     def evaluate(self, a: Coeff, b: Coeff) -> Coeff:
-        return _norm_coeff(
-            Fraction(Substitution(Fraction(a), Fraction(b)).apply(self))
-        )
+        return Substitution(Fraction(a), Fraction(b)).apply(self)
 
     def render(self) -> str:
         return self._render(
@@ -515,35 +534,78 @@ class BiPoly(_SparsePoly):
         )
 
 
-class Substitution:
-    """Substitution of a fixed pair (u, v) for (x, y), with power caching.
+def _bivariate(w) -> dict:
+    """The terms of a BiPoly; of a UniPoly or a scalar, as a polynomial in
+    x alone, under keys (k, 0)."""
+    if isinstance(w, BiPoly):
+        return w._t
+    if isinstance(w, UniPoly):
+        return {(k, 0): c for k, c in w._t.items()}
+    c = _norm_coeff(w)
+    return {(0, 0): c} if c else {}
 
-    Powers of u are cached across apply() calls, so substituting the same
-    pair into several polynomials (both components of a map, say) shares
-    the expensive multiplications; v enters by Horner's rule.  u and v
-    share one ring (Fraction, UniPoly or BiPoly), whose zero is taken
-    from u.
+
+def _power(powers: list, base, e: int) -> dict:
+    """base^e as int numerators, from the cached powers of base, which are
+    extended one product at a time."""
+    while len(powers) <= e:
+        powers.append(_convolve(powers[-1].items(), base))
+    return powers[e]
+
+
+class Substitution:
+    """Substitution of a fixed pair (u, v) for (x, y), on integer numerators.
+
+    u and v are read once as integer numerators U and V over the lcm of
+    their denominators, du and dv.  For p with numerators n_ij over dp,
+    x-degree dx and y-degree dy, apply() sums
+
+        row_j * dv^(dy-j) * V^j,  row_j = sum_i n_ij * du^(dx-i) * U^i,
+
+    by Horner's rule in V, adding each row into the accumulator in place,
+    and divides once by dp * du^dx * dv^dy: an int where that divides, a
+    reduced Fraction otherwise.  Every product is the integer kernel
+    _convolve.  The powers of U and V are cached across apply() calls, so
+    substituting the same pair into several polynomials (both components
+    of a map, say) shares the multiplications.
+
+    u and v share one ring, BiPoly, UniPoly or the rationals, and apply()
+    returns an element of it; a UniPoly or a scalar is read as a
+    polynomial in x alone, so every ring takes the same path.
     """
 
     def __init__(self, u, v):
-        self._u = u
-        self._v = v
-        one = u**0
-        # Not u * 0: traces would count it as a polynomial product.
-        self._zero = one - one
-        self._upow = [one]
+        self._ring = type(u) if isinstance(u, _SparsePoly) else type(v)
+        self._u, self._du = _numerators(_bivariate(u))
+        self._v, self._dv = _numerators(_bivariate(v))
+        self._upow = [{(0, 0): 1}]
+        self._vpow = [{(0, 0): 1}]
 
     def apply(self, p: BiPoly):
-        """p(u, v) by Horner's rule in v over the rows sum(c * u^i) of p's
-        terms sharing one power of y."""
-        upow = self._upow
-        while len(upow) <= p.degree_x():
-            upow.append(upow[-1] * self._u)
-        rows = {}
-        for (i, j), c in p._t.items():
-            t = c * upow[i]
-            rows[j] = rows[j] + t if j in rows else t
-        return _horner(sorted(rows.items(), reverse=True), self._v, self._zero)
+        """p(u, v), in the ring of u and v."""
+        terms, dp = _numerators(p._t)
+        rows: dict[int, list] = {}
+        dx = 0
+        for (i, j), n in terms:
+            rows.setdefault(j, []).append((i, n))
+            dx = max(dx, i)
+        _power(self._upow, self._u, dx)
+        ys = sorted(rows, reverse=True)
+        dy = ys[0] if ys else 0
+        du, dv = self._du, self._dv
+        acc: dict[tuple[int, int], int] = {}
+        for j, below in zip(ys, ys[1:] + [0]):
+            scale = dv ** (dy - j)
+            for i, n in rows[j]:
+                _axpy(acc, n * du ** (dx - i) * scale, self._upow[i].items())
+            if j > below and acc:
+                acc = _convolve(acc.items(), _power(self._vpow, self._v, j - below).items())
+        out = _over(acc, dp * du**dx * dv**dy)
+        if self._ring is BiPoly:
+            return BiPoly._new(out)
+        if self._ring is UniPoly:
+            return UniPoly._new({i: c for (i, _), c in out.items()})
+        return out.get((0, 0), 0)
 
 
 @dataclass(frozen=True)

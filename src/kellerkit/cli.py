@@ -540,8 +540,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    # Lift the interpreter's limit on int/str conversion (Python 3.11 and
-    # later) for the process: coefficients are as long as the arguments.
+    # Lift the interpreter's limit on int/str conversion (Python 3.11, and
+    # 3.10.7 and later) for the process: coefficients are as long as the
+    # arguments.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     raise SystemExit(main())

@@ -412,6 +412,99 @@ class TestBiPoly:
         assert normalize_leading(BiPoly.zero()).is_zero()
 
 
+def _power_sum(p, u, v):
+    """p(u, v) as sum(c * u**i * v**j), by the ring operations alone."""
+    return sum((c * u**i * v**j for (i, j), c in p.terms()), u**0 - u**0)
+
+
+def _assert_canonical(value):
+    """A polynomial as _assert_stored_reduced asks; a scalar is an int, or a
+    Fraction that is not integral."""
+    if isinstance(value, (BiPoly, UniPoly)):
+        _assert_stored_reduced(value)
+    else:
+        assert type(value) is int or value.denominator > 1, repr(value)
+
+
+# Pairs whose two members have different denominators, in each ring.
+X, Y, T = BiPoly.x(), BiPoly.y(), UniPoly.x()
+PAIRS = {
+    "bipoly": (X * Fraction(1, 2) + Y * Fraction(1, 3), Y * Fraction(1, 5) - X**2 * Fraction(1, 7)),
+    "unipoly": (T * Fraction(1, 2) + Fraction(1, 3), Fraction(1, 5) - T**2 * Fraction(1, 7)),
+    "fraction": (Fraction(3, 2), Fraction(-2, 5)),
+}
+
+
+class TestSubstitution:
+    """Substitution.apply, on integer numerators with one division at the
+    end, against the power sum over the ring operations."""
+
+    POLYS = (
+        BiPoly.zero(),
+        BiPoly.constant(Fraction(5, 3)),
+        BiPoly.constant(4),
+        # gaps in x (0, 3) and in y (1, 4), and no row free of y
+        BiPoly({(3, 4): 1, (0, 4): Fraction(-2, 3), (3, 1): 5, (0, 1): Fraction(1, 7)}),
+        BiPoly({(2, 0): Fraction(7, 4), (0, 3): 6, (1, 1): Fraction(-1, 6)}),
+    )
+
+    @pytest.mark.parametrize("ring", sorted(PAIRS))
+    def test_different_denominators(self, ring):
+        u, v = PAIRS[ring]
+        sub = Substitution(u, v)
+        for p in self.POLYS:
+            got = sub.apply(p)
+            assert got == _power_sum(p, u, v)
+            assert isinstance(got, (type(u), int))
+            _assert_canonical(got)
+
+    def test_scalar_results_are_canonical(self):
+        p = BiPoly({(2, 0): 4, (0, 1): Fraction(1, 3)})
+        assert Substitution(Fraction(1, 2), Fraction(3)).apply(p) == 2
+        assert type(Substitution(Fraction(1, 2), Fraction(3)).apply(p)) is int
+        assert Substitution(Fraction(1, 2), Fraction(1)).apply(p) == Fraction(4, 3)
+        assert type(p.evaluate(Fraction(1, 2), 3)) is int
+        assert type(Substitution(Fraction(1, 2), 3).apply(BiPoly.constant(4))) is int
+
+    @pytest.mark.parametrize("ring", sorted(PAIRS))
+    def test_reused_on_rising_degrees(self, ring, rng):
+        """One Substitution, its power caches grown by each larger p and
+        read again by smaller ones."""
+        u, v = PAIRS[ring]
+        sub = Substitution(u, v)
+        polys = []
+        for d in range(7):
+            terms = {(i, d - i): random_fraction(rng) for i in range(d + 1)}
+            terms[(rng.randint(0, d), 0)] = rng.randint(-5, 5)
+            polys.append(BiPoly(terms))
+        for p in polys + polys[::-1]:
+            got = sub.apply(p)
+            assert got == _power_sum(p, u, v)
+            _assert_canonical(got)
+
+    def test_random_fractional_pairs(self, rng):
+        for _ in range(10):
+            u = BiPoly({k: random_fraction(rng) for k in random_bipoly(rng, 2, 3).support()})
+            v = BiPoly({k: random_fraction(rng) for k in random_bipoly(rng, 2, 3).support()})
+            p = BiPoly({k: random_fraction(rng) for k in random_bipoly(rng, 3, 3).support()})
+            got = Substitution(u, v).apply(p)
+            assert got == _power_sum(p, u, v)
+            _assert_canonical(got)
+
+    def test_composition_cancels_to_identity(self):
+        """A fractional map composed with its inverse, both ways: every
+        coefficient cancels but x and y, stored as the int 1."""
+        F = PolyMap(X + Y**2 * Fraction(1, 3), Y)
+        F_inv = PolyMap(X - Y**2 * Fraction(1, 3), Y)
+        G = PolyMap(X * Fraction(2, 3), Y - X**3 * Fraction(1, 2) + X * Fraction(1, 5))
+        G_inv = PolyMap(X * Fraction(3, 2), Y + (X * Fraction(3, 2)) ** 3 * Fraction(1, 2)
+                        - X * Fraction(3, 10))
+        H, H_inv = compose_map(G, F), compose_map(F_inv, G_inv)
+        for K in (compose_map(H_inv, H), compose_map(H, H_inv)):
+            assert K.is_identity()
+            assert [type(c) for p in (K.first, K.second) for c in p._t.values()] == [int, int]
+
+
 # ---------------------------------------------------------------------------
 # Maps, parametrizations, lines
 # ---------------------------------------------------------------------------

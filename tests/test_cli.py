@@ -583,7 +583,8 @@ class TestSubprocess:
         assert proc.stderr == b"error: expected a number (line 1, column 3)\n"
 
     # Longer than the interpreter's default limit on int/str conversion
-    # (4,300 digits on Python 3.11 and later), which the console script lifts.
+    # (4,300 digits on Python 3.11, and 3.10.7 and later), which the console
+    # script lifts.
     def test_big_coefficient(self):
         nines = "9" * 5000
         proc = run_module(["jac", nines + "*x", "y"])
