@@ -17,7 +17,11 @@ int where it divides and a reduced Fraction otherwise.  A product
 convolves the two operands' numerators.  Substitution of (u, v) into p,
 which also evaluates a BiPoly at a point, sums p's rows over cached
 powers of u's numerators into one accumulator and runs Horner's rule in
-v's numerators, all on int dicts (see Substitution).  UniPoly products,
+v's numerators, all on int dicts (see Substitution).  The subresultant
+sequence behind resultant_y and gcd_bivariate runs on integer coefficient
+rows: each input is read once as integer numerators, laid out as rows in
+y of dense int lists in x, and a resultant is divided once, at the end,
+by the powers of the two denominators that scale it.  UniPoly products,
 small and mostly integral, multiply the stored coefficients directly and
 then store integral Fractions as ints.
 
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import DegenerateResultant, InvalidLine
@@ -53,6 +57,16 @@ def _norm_coeff(c) -> Coeff:
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise TypeError("coefficients must be int or Fraction, got %r" % type(c).__name__)
+
+
+def _norm_fields(obj) -> None:
+    """Pass every field of a frozen dataclass of coefficients through
+    _norm_coeff, in place: a float raises TypeError, an integral Fraction
+    is stored as its int."""
+    for name in obj.__dataclass_fields__:
+        v = getattr(obj, name)
+        if type(v) is not int:
+            object.__setattr__(obj, name, _norm_coeff(v))
 
 
 def _cdiv(a: Coeff, b: Coeff) -> Coeff:
@@ -694,6 +708,7 @@ class Line:
     c: Coeff
 
     def __post_init__(self):
+        _norm_fields(self)
         if not self.a and not self.b:
             raise InvalidLine("a and b are both zero: not a line")
 
@@ -733,98 +748,139 @@ def restrict_to_line(H: PolyMap, line: Line):
 
 
 # ---------------------------------------------------------------------------
-# Resultants.  Bivariate polynomials are handled as dense lists of UniPoly
-# coefficients in y, leading coefficient first; the resultant in y follows
-# the subresultant polynomial remainder sequence, which keeps intermediate
-# growth polynomial instead of exponential.
+# Resultants.  A bivariate polynomial p is read once as integer numerators
+# over D, the lcm of its denominators, and laid out as rows in y, highest
+# power first; each row is a polynomial in x, a dense list of ints, lowest
+# power first, with no trailing zeros (the zero row is []).  One
+# subresultant remainder sequence (Collins) runs on these rows with plain
+# int arithmetic: its pseudo-remainders stay in Z[x][y] and every quotient
+# by the recurrence scalars is exact in Z[x].  The resultant undoes the
+# scaling once at the end, from
+#
+#     res_y(Dp*p, Dq*q) = Dp^deg_y(q) * Dq^deg_y(p) * res_y(p, q),
+#
+# dividing through _over, so its coefficients are ints where integral.
 # ---------------------------------------------------------------------------
 
 
-def _y_coeff_list(p: BiPoly) -> list[UniPoly]:
-    """Dense coefficient list of p in y, highest power first."""
-    d = p.degree_y()
-    if d is NEG_INF:
+def _rows(p: BiPoly) -> tuple[list[list[int]], int]:
+    """(rows, D): p's integer numerators over D as rows in y, highest
+    first; no rows for p = 0."""
+    terms, d = _numerators(p._t)
+    dy = max((j for _, j in p._t), default=-1)
+    rows: list[list[int]] = [[] for _ in range(dy + 1)]
+    for (i, j), n in terms:
+        row = rows[dy - j]
+        if len(row) <= i:
+            row += [0] * (i + 1 - len(row))
+        row[i] = n
+    return rows, d
+
+
+def _from_rows(rows: list[list[int]]) -> BiPoly:
+    d = len(rows) - 1
+    return BiPoly._new(
+        {(i, d - idx): c for idx, row in enumerate(rows) for i, c in enumerate(row) if c}
+    )
+
+
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    """Product in Z[x]; the leading coefficient never cancels."""
+    if not a or not b:
         return []
-    rows: list[dict[int, Coeff]] = [{} for _ in range(d + 1)]
-    for (i, j), c in p._t.items():
-        rows[d - j][i] = c
-    return [UniPoly._new(row) for row in rows]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b, i):
+                out[j] += u * v
+    return out
 
 
-def _lstrip(f: list[UniPoly]) -> list[UniPoly]:
-    k = 0
-    while k < len(f) and f[k].is_zero():
-        k += 1
-    return f[k:]
+def _zpow(a: list[int], e: int) -> list[int]:
+    out = [1]
+    for _ in range(e):
+        out = _zmul(out, a)
+    return out
 
 
-def _ldeg(f: list[UniPoly]) -> int:
-    return len(f) - 1
+def _zneg(a: list[int]) -> list[int]:
+    return [-u for u in a]
 
 
-def _lmul_ground(f: list[UniPoly], c: UniPoly) -> list[UniPoly]:
-    return [a * c for a in f]
+def _zcross(a: list[int], c: list[int], b: list[int], e: list[int]) -> list[int]:
+    """a*c - b*e in Z[x], with trailing zeros stripped."""
+    out = _zmul(a, c)
+    be = _zmul(b, e)
+    if len(out) < len(be):
+        out += [0] * (len(be) - len(out))
+    for k, v in enumerate(be):
+        out[k] -= v
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _lquo_ground(f: list[UniPoly], c: UniPoly) -> list[UniPoly]:
-    return [a.exact_div(c) for a in f]
+def _zquo(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[x] for nonzero b; raises ValueError unless b divides a
+    exactly, so a quotient is never truncated."""
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + db], lb)
+        if m:
+            raise ValueError("inexact polynomial division")
+        if c:
+            q[k] = c
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    if any(r[:db]):
+        raise ValueError("inexact polynomial division")
+    return q
 
 
-def _lsub(f: list[UniPoly], g: list[UniPoly]) -> list[UniPoly]:
-    if len(f) < len(g):
-        f = [UniPoly.zero()] * (len(g) - len(f)) + f
-    elif len(g) < len(f):
-        g = [UniPoly.zero()] * (len(f) - len(g)) + g
-    return _lstrip([a - b for a, b in zip(f, g)])
-
-
-def _lprem(f: list[UniPoly], g: list[UniPoly]) -> list[UniPoly]:
-    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f modulo g."""
-    df, dg = _ldeg(f), _ldeg(g)
+def _prem(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
+    """Pseudo-remainder of rows: lc(g)^(deg f - deg g + 1) * f modulo g."""
+    dg = len(g) - 1
     lc_g = g[0]
     r = f
-    n = df - dg + 1
-    while r and _ldeg(r) >= dg:
+    n = len(f) - dg
+    while len(r) > dg:
         lc_r = r[0]
-        j = _ldeg(r) - dg
         n -= 1
-        r = _lsub(_lmul_ground(r, lc_g), _lmul_ground(g, lc_r) + [UniPoly.zero()] * j)
+        r = [_zcross(r[k], lc_g, g[k] if k <= dg else [], lc_r) for k in range(1, len(r))]
+        while r and not r[0]:
+            r = r[1:]
     if n:
-        r = _lmul_ground(r, lc_g**n)
+        scale = _zpow(lc_g, n)
+        r = [_zmul(row, scale) for row in r]
     return r
 
 
-def _inner_subresultants(f: list[UniPoly], g: list[UniPoly]):
-    """Subresultant PRS of f and g (deg f >= deg g >= 0, both nonzero).
+def _subresultants(f: list[list[int]], g: list[list[int]]):
+    """Subresultant remainder sequence of rows f and g, deg f >= deg g >= 0,
+    both nonzero.
 
-    Returns (R, S): the remainder sequence and the scalar subresultants;
-    S[-1] is the resultant when the sequence bottoms out at degree 0.
+    Returns (h, s): the last nonzero remainder and its scalar
+    subresultant, which is the resultant when h has degree 0.
     """
-    n, m = _ldeg(f), _ldeg(g)
-    one = UniPoly.one()
-    R = [f, g]
-    d = n - m
-    b = one if (d + 1) % 2 == 0 else -one
-    h = _lprem(f, g)
-    h = _lmul_ground(h, b)
+    m = len(g) - 1
+    d = len(f) - 1 - m
+    h = _prem(f, g)
+    if d % 2 == 0:
+        h = [_zneg(row) for row in h]
     lc = g[0]
-    c = lc**d
-    S = [one, c]
-    c = -c
+    s = _zpow(lc, d)
+    c = _zneg(s)
     while h:
-        k = _ldeg(h)
-        R.append(h)
+        k = len(h) - 1
         f, g, m, d = g, h, k, m - k
-        b = -lc * c**d
-        h = _lprem(f, g)
-        h = _lquo_ground(h, b)
+        b = _zneg(_zmul(lc, _zpow(c, d)))
+        h = [_zquo(row, b) for row in _prem(f, g)]
         lc = g[0]
-        if d > 1:
-            c = ((-lc) ** d).exact_div(c ** (d - 1))
-        else:
-            c = -lc
-        S.append(-c)
-    return R, S
+        c = _zquo(_zpow(_zneg(lc), d), _zpow(c, d - 1)) if d > 1 else _zneg(lc)
+        s = _zneg(c)
+    return g, s
 
 
 def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
@@ -836,18 +892,16 @@ def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
     dp, dq = p.degree_y(), q.degree_y()
     if dp < 1 or dq < 1:
         raise DegenerateResultant("resultant_y needs positive y-degree in both arguments")
-    fl = _y_coeff_list(p)
-    gl = _y_coeff_list(q)
+    (f, Dp), (g, Dq) = _rows(p), _rows(q)
     if dp >= dq:
-        R, S = _inner_subresultants(fl, gl)
-        sign = 1
+        h, s = _subresultants(f, g)
     else:
-        R, S = _inner_subresultants(gl, fl)
-        sign = -1 if (dp * dq) % 2 else 1
-    if _ldeg(R[-1]) > 0:
+        h, s = _subresultants(g, f)
+        if (dp * dq) % 2:
+            s = _zneg(s)
+    if len(h) > 1:
         return UniPoly.zero()
-    res = S[-1]
-    return -res if sign < 0 else res
+    return UniPoly._new(_over({i: c for i, c in enumerate(s) if c}, Dp**dq * Dq**dp))
 
 
 # ---------------------------------------------------------------------------
@@ -855,35 +909,30 @@ def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
 # witnesses when a resultant vanishes identically.  The last nonzero
 # remainder of any remainder sequence is an associate of the gcd over
 # Q(x), so its primitive part times the gcd of the contents is the gcd.
+# Contents are taken over Q[x] by gcd_univariate and scaled to primitive
+# integer polynomials, which by Gauss's lemma divide the rows in Z[x].
 # ---------------------------------------------------------------------------
 
 
-def _content(f: list[UniPoly]) -> UniPoly:
-    g = UniPoly.zero()
-    for u in f:
-        g = gcd_univariate(g, u)
-        if g.is_constant() and not g.is_zero():
-            break
-    return g
+def _zprimitive(u: UniPoly) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of u."""
+    terms, _ = _numerators(u._t)
+    row = [0] * (u.degree() + 1)
+    for i, n in terms:
+        row[i] = n
+    g = gcd(*row)
+    return [n // g for n in row]
 
 
-def _primitive(f: list[UniPoly]) -> tuple[UniPoly, list[UniPoly]]:
-    if not f:
-        return UniPoly.zero(), f
-    c = _content(f)
-    if c == UniPoly.one():
-        return c, f
-    return c, _lquo_ground(f, c)
-
-
-def _from_y_coeff_list(f: list[UniPoly]) -> BiPoly:
-    d = _ldeg(f)
-    terms: dict[tuple[int, int], Coeff] = {}
-    for idx, u in enumerate(f):
-        j = d - idx
-        for i, c in u._t.items():
-            terms[(i, j)] = c
-    return BiPoly._new(terms)
+def _primitive(f: list[list[int]]) -> tuple[UniPoly, list[list[int]]]:
+    """The monic x-content of nonzero rows f over Q[x], and f divided by it."""
+    c = UniPoly.zero()
+    for row in f:
+        c = gcd_univariate(c, UniPoly._new({i: n for i, n in enumerate(row) if n}))
+        if c.is_constant() and not c.is_zero():
+            return c, f
+    z = _zprimitive(c)
+    return c, [_zquo(row, z) for row in f]
 
 
 def normalize_leading(p: BiPoly) -> BiPoly:
@@ -902,11 +951,9 @@ def gcd_bivariate(a: BiPoly, b: BiPoly) -> BiPoly:
         return normalize_leading(b)
     if b.is_zero():
         return normalize_leading(a)
-    fa, fb = _y_coeff_list(a), _y_coeff_list(b)
-    ca, pa = _primitive(fa)
-    cb, pb = _primitive(fb)
-    cg = gcd_univariate(ca, cb)
-    f, g = (pa, pb) if _ldeg(pa) >= _ldeg(pb) else (pb, pa)
-    R, _ = _inner_subresultants(f, g)
-    _, f = _primitive(R[-1])
-    return normalize_leading(_from_y_coeff_list(_lmul_ground(f, cg)))
+    ca, pa = _primitive(_rows(a)[0])
+    cb, pb = _primitive(_rows(b)[0])
+    cg = _zprimitive(gcd_univariate(ca, cb))
+    h, _ = _subresultants(*((pa, pb) if len(pa) >= len(pb) else (pb, pa)))
+    _, h = _primitive(h)
+    return normalize_leading(_from_rows([_zmul(row, cg) for row in h]))

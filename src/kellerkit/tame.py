@@ -34,6 +34,7 @@ from .arith import (
     UniPoly,
     _cdiv,
     _horner,
+    _norm_fields,
     frac_pair,
     is_keller,
 )
@@ -67,6 +68,7 @@ class AffineFactor(_FactorMap):
     b2: Coeff = 0
 
     def __post_init__(self):
+        _norm_fields(self)
         if self.det() == 0:
             raise ValueError("affine factor is singular")
 

@@ -199,6 +199,25 @@ def resultant_oracle(p: BiPoly, q: BiPoly) -> UniPoly:
     return det_cofactor(sylvester_matrix(ydense(p), ydense(q)))
 
 
+def injective_oracle(dp: BiPoly, dq: BiPoly) -> bool:
+    """Independent injectivity decision on two difference quotients, from
+    the Sylvester determinant.
+
+    The quotients' y-leading coefficients are nonzero constants, so the
+    determinant vanishes at x0 exactly when a genuine common root sits
+    above x0: a nonzero constant determinant means no collision anywhere.
+    """
+    if dp.is_zero() and dq.is_zero():
+        return False
+    if dp.is_zero() or dq.is_zero():
+        other = dq if dp.is_zero() else dp
+        return other.is_constant()
+    if dp.is_constant() or dq.is_constant():
+        return True
+    res = resultant_oracle(dp, dq)
+    return (not res.is_zero()) and res.is_constant()
+
+
 def fraction_matrix_det(rows: list[list[Fraction]]) -> Fraction:
     """Exact Gaussian elimination determinant over the rationals."""
     n = len(rows)

@@ -13,12 +13,12 @@ from fractions import Fraction
 
 from conftest import (
     draw_tame_word,
+    injective_oracle,
     random_axis_fixing_word,
     random_axis_preserving_affine,
     random_bipoly,
     random_fraction,
     random_unipoly,
-    resultant_oracle,
 )
 from test_cli import GOLDEN_CASES, GOLDEN_DIR, run_module
 
@@ -244,24 +244,6 @@ def test_criterion_6_negative_battery():
     _finish("criterion 6", "4/4 exact rejections", start, 5)
 
 
-def _oracle_injective(dp, dq):
-    """Independent injectivity decision from the Sylvester determinant.
-
-    The quotients' y-leading coefficients are nonzero constants, so the
-    determinant vanishes at x0 exactly when a genuine common root sits
-    above x0: a nonzero constant determinant means no collision anywhere.
-    """
-    if dp.is_zero() and dq.is_zero():
-        return False
-    if dp.is_zero() or dq.is_zero():
-        other = dq if dp.is_zero() else dp
-        return other.is_constant()
-    if dp.is_constant() or dq.is_constant():
-        return True
-    res = resultant_oracle(dp, dq)
-    return (not res.is_zero()) and res.is_constant()
-
-
 def test_criterion_7_oracle_equivalence():
     """is_injective_param agrees with the independent oracle on the full
     grid of parametrizations with degree <= 3 and coefficients in
@@ -290,7 +272,7 @@ def test_criterion_7_oracle_equivalence():
     for i, dp in enumerate(quotients):
         for j, dq in enumerate(quotients):
             got = is_injective_param(Parametrization(core[i], core[j]))
-            assert got.ok == _oracle_injective(dp, dq)
+            assert got.ok == injective_oracle(dp, dq)
             decisions[i, j] = got
 
     rng = random.Random(707)

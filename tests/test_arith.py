@@ -25,7 +25,7 @@ from kellerkit import (
     restrict_to_line,
     resultant_y,
 )
-from kellerkit.arith import frac_pair, line_parametrization, normalize_leading
+from kellerkit.arith import _zquo, frac_pair, line_parametrization, normalize_leading
 
 from conftest import (
     assert_bipoly_equal_by_eval,
@@ -578,6 +578,17 @@ class TestLine:
         with pytest.raises(InvalidLine):
             Line(0, 0, 5)
 
+    def test_float_rejected(self):
+        for coeffs in ((0.1, 1, 0), (1, 0.5, 0), (1, 1, 2.0)):
+            with pytest.raises(TypeError, match="float"):
+                Line(*coeffs)
+
+    def test_integral_fractions_stored_as_int(self):
+        line = Line(Fraction(4, 2), Fraction(1, 3), Fraction(-3, 1))
+        assert (type(line.a), type(line.b), type(line.c)) == (int, Fraction, int)
+        assert line == Line(2, Fraction(1, 3), -3)
+        assert line.to_json_dict() == {"a": [2, 1], "b": [1, 3], "c": [-3, 1]}
+
     def test_render(self):
         assert Line(2, 3, Fraction(1, 2)).render() == "2*x + 3*y + 1/2 = 0"
         assert Line(1, 0, 0).render() == "x = 0"
@@ -669,6 +680,59 @@ class TestResultant:
             assert resultant_y(p, q) == sign * resultant_y(q, p)
             checked += 1
 
+    @staticmethod
+    def _fractional_pair(rng, dp, dq):
+        """Random p, q with y-degrees exactly dp and dq, x-degree <= 2 and
+        Fraction coefficients with denominators up to 7."""
+
+        def draw(dy):
+            terms = {
+                (i, j): Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+                for i in range(3)
+                for j in range(dy + 1)
+                if rng.random() < 0.6
+            }
+            terms[(rng.randint(0, 2), dy)] = Fraction(rng.randint(1, 6), rng.randint(2, 7))
+            return BiPoly(terms)
+
+        return draw(dp), draw(dq)
+
+    @pytest.mark.parametrize("dp, dq", [(3, 1), (2, 2), (1, 3), (3, 3), (1, 2)])
+    def test_fractional_matches_sylvester_oracle(self, rng, dp, dq):
+        # (1, 3) and (3, 3) have dp < dq or dp = dq with an odd product of
+        # degrees, so the sign of the swapped sequence is exercised too.
+        for _ in range(6):
+            p, q = self._fractional_pair(rng, dp, dq)
+            got = resultant_y(p, q)
+            assert got == resultant_oracle(p, q)
+            _assert_stored_reduced(got)
+
+    def test_scaling_property(self, rng):
+        # res(c*p, d*q) = c^deg_y(q) * d^deg_y(p) * res(p, q).
+        for _ in range(12):
+            p, q = self._fractional_pair(rng, rng.randint(1, 3), rng.randint(1, 3))
+            c = Fraction(rng.randint(1, 9), rng.randint(1, 7)) * rng.choice((-1, 1))
+            d = Fraction(rng.randint(1, 9), rng.randint(1, 7)) * rng.choice((-1, 1))
+            scale = c ** q.degree_y() * d ** p.degree_y()
+            assert resultant_y(p * c, q * d) == resultant_y(p, q) * scale
+
+    def test_integral_resultant_of_fractional_inputs_is_int(self):
+        # Res_y(y/2 - x/3, 2y/3 + x^2) = det [[1/2, -x/3], [2/3, x^2]]
+        # = x^2/2 + 2x/9; scaled by 18 the coefficients are ints.
+        p = BiPoly({(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 3)})
+        q = BiPoly({(0, 1): Fraction(2, 3), (2, 0): 1})
+        assert resultant_y(p, q) == UniPoly({2: Fraction(1, 2), 1: Fraction(2, 9)})
+        got = resultant_y(p * 6, q * 9)
+        assert got == UniPoly({2: 27, 1: 12})
+        assert all(type(v) is int for v in got._t.values())
+
+    def test_integer_quotient_is_exact_or_raises(self):
+        assert _zquo([-1, 0, 1], [1, 1]) == [-1, 1]  # (x^2 - 1) / (x + 1)
+        assert _zquo([], [3]) == []
+        for a, b in (([1, 0, 1], [1, 1]), ([2], [4]), ([1], [0, 1]), ([3, 6], [0, 3])):
+            with pytest.raises(ValueError):
+                _zquo(a, b)
+
     def test_common_factor_forces_zero(self, rng):
         g = BiPoly({(0, 1): 1, (1, 0): -1})  # y - x
         for _ in range(5):
@@ -716,6 +780,17 @@ class TestGcdBivariate:
         assert resultant_y(a, b) == resultant_oracle(a, b)
         assert gcd_bivariate(a, b) == BiPoly.one()
         assert gcd_bivariate(common * a, common * b) == common
+
+    def test_fractional_common_factor(self):
+        g = BiPoly({(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 5), (0, 0): 1})
+        u = BiPoly({(0, 1): Fraction(2, 7), (2, 0): Fraction(-1, 3), (0, 0): Fraction(5, 4)})
+        v = BiPoly({(0, 2): Fraction(3, 2), (1, 1): Fraction(1, 6), (1, 0): Fraction(-2, 9)})
+        assert gcd_bivariate(g * u, g * v) == normalize_leading(g)
+        assert gcd_bivariate(g * v, g * u) == normalize_leading(g)
+        # An x-content in the common factor comes through the contents.
+        h = g * BiPoly({(1, 0): Fraction(3, 4), (0, 0): Fraction(-1, 2)})
+        assert gcd_bivariate(h * u, h * v) == normalize_leading(h)
+        assert gcd_bivariate(h * v, h * u) == normalize_leading(h)
 
     def test_coprime_gives_one(self):
         p = BiPoly({(1, 0): 1, (0, 1): 1})  # x + y

@@ -25,7 +25,7 @@ from kellerkit import (
 )
 from kellerkit.tame import apply_factors
 
-from conftest import draw_tame_word, random_unipoly
+from conftest import draw_tame_word, injective_oracle, random_fraction, random_unipoly
 
 
 def curve(p_coeffs, q_coeffs):
@@ -126,6 +126,28 @@ class TestInjectivity:
                 continue
             b = random_unipoly(rng, 1, 4)
             assert is_injective_param(Parametrization(a, b)).ok
+
+    def test_fractional_curves_match_sylvester_oracle(self, rng):
+        # Curves of degree <= 4 with Fraction coefficients, as restricting
+        # a map to a rational line gives: generic pairs (nearly all
+        # colliding), graphs (p, c*t + s(p)), which are injective, and
+        # pairs (p, s(p)), whose quotients share the component of D_p.
+        def frac_poly(deg):
+            return UniPoly({k: random_fraction(rng) for k in range(deg + 1)})
+
+        verdicts = []
+        for k in range(60):
+            p = frac_poly(2 if k % 3 else rng.randint(1, 4))
+            if k % 3 == 0:
+                q = frac_poly(rng.randint(1, 4))
+            else:
+                s = frac_poly(rng.randint(0, 2))
+                c = random_fraction(rng) if k % 3 == 1 else 0
+                q = s.compose(p) + UniPoly({1: c})
+            got = is_injective_param(Parametrization(p, q)).ok
+            assert got == injective_oracle(difference_quotient(p), difference_quotient(q))
+            verdicts.append(got)
+        assert True in verdicts and False in verdicts
 
 
 class TestImmersion:

@@ -49,6 +49,19 @@ class TestAffineFactor:
         with pytest.raises(ValueError):
             AffineFactor(0, 0, 0, 1)
 
+    def test_float_rejected(self):
+        with pytest.raises(TypeError, match="float"):
+            AffineFactor(0.5, 0, 0, 1)
+        with pytest.raises(TypeError, match="float"):
+            AffineFactor(1, 0, 0, 1, 0, 0.25)
+
+    def test_integral_fractions_stored_as_int(self):
+        A = AffineFactor(Fraction(4, 2), 0, Fraction(1, 3), Fraction(3, 1), Fraction(-6, 3), 0)
+        assert [type(v) for v in (A.a11, A.a22, A.b1)] == [int, int, int]
+        assert (A.a11, A.a22, A.b1) == (2, 3, -2)
+        assert A.a21 == Fraction(1, 3)
+        assert A == AffineFactor(2, 0, Fraction(1, 3), 3, -2, 0)
+
     def test_identity(self):
         assert AffineFactor(1, 0, 0, 1).is_identity()
         assert not AffineFactor(1, 0, 0, 1, 1, 0).is_identity()
