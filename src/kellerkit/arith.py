@@ -21,9 +21,32 @@ v's numerators, all on int dicts (see Substitution).  The subresultant
 sequence behind resultant_y and gcd_bivariate runs on integer coefficient
 rows: each input is read once as integer numerators, laid out as rows in
 y of dense int lists in x, and a resultant is divided once, at the end,
-by the powers of the two denominators that scale it.  UniPoly products,
-small and mostly integral, multiply the stored coefficients directly and
-then store integral Fractions as ints.
+by the powers of the two denominators that scale it.  An affine image
+a*p + b*q + e sums p's and q's numerators over one shared denominator.
+UniPoly products, small and mostly integral, multiply the stored
+coefficients directly and then store integral Fractions as ints.
+
+jacobian_det, the Keller gate, is one integer kernel with no
+intermediate BiPoly: it reads the numerators of f and g once, computes
+f_x*g_y - f_y*g_x into one int dict and divides once.  With W and R the
+sums of the x-degrees and of the y-degrees of f and g, every term of the
+result lies in a W by R grid, and an exact size rule picks the strategy:
+- W*R <= |f|*|g| (terms): Kronecker substitution, x^i*y^j -> 2^(B*(i +
+  j*W)).  The four derivatives are packed into Python ints, their
+  positive and negative parts written into bytearrays, and the cross
+  product is two C bigint multiplications.  B is a whole number of bytes
+  holding |f_x|*|g_y| + |f_y|*|g_x| (|.| the sum of absolute values, a
+  bound on every coefficient of the result), every packed coefficient,
+  and a sign bit.  The result's balanced base-2^B digits are read up to
+  its top digit only, so a Keller map's constant Jacobian unpacks in
+  O(1).
+- otherwise: one pass over the term pairs, adding (i1*j2 - j1*i2)*a*b at
+  (i1 + i2 - 1, j1 + j2 - 1), which bounds the work on sparse input of
+  high degree, whose grid would be too large to pack.
+Only the Jacobian packs: there the product cancels to a few terms, so
+unpacking is cheap.  The general product kernel _convolve stays a term
+pair loop; a packed _convolve lost on the small products of line proofs,
+which do not cancel.
 
 UniPoly calls and compositions and elementary factors evaluate by one
 generic Horner loop, _horner, over their own ring.
@@ -559,6 +582,42 @@ def _bivariate(w) -> dict:
     return {(0, 0): c} if c else {}
 
 
+def _ring(u, v) -> type:
+    """The ring u and v share: BiPoly, UniPoly or a scalar type."""
+    return type(u) if isinstance(u, _SparsePoly) else type(v)
+
+
+def _in_ring(ring: type, terms: dict):
+    """Terms free of zero coefficients, as read by _bivariate, back in
+    ring: a BiPoly, a UniPoly in x, or the constant term as a scalar."""
+    if ring is BiPoly:
+        return BiPoly._new(terms)
+    if ring is UniPoly:
+        return UniPoly._new({i: c for (i, _), c in terms.items()})
+    return terms.get((0, 0), 0)
+
+
+def _affine_image(pair, rows) -> tuple:
+    """a*P + b*Q + e for each row (a, b, e) of scalars, with P and Q the
+    pair's elements, which share a ring (BiPoly, UniPoly or scalars), and
+    each component returned in that ring.  P and Q are read once as
+    integer numerators over dP and dQ; a component is summed on them over
+    the lcm of the denominators of a/dP, b/dQ and e, and divided once."""
+    ring = _ring(*pair)
+    (p, dp), (q, dq) = (_numerators(_bivariate(w)) for w in pair)
+    out = []
+    for a, b, e in rows:
+        parts = [(c, n, d) for c, n, d in ((a, p, dp), (b, q, dq)) if c]
+        den = lcm(e.denominator, *[c.denominator * d for c, _, d in parts])
+        acc: dict[tuple[int, int], int] = {}
+        for c, n, d in parts:
+            _axpy(acc, c.numerator * (den // (c.denominator * d)), n)
+        if e:
+            _axpy(acc, e.numerator * (den // e.denominator), (((0, 0), 1),))
+        out.append(_in_ring(ring, _over(acc, den)))
+    return tuple(out)
+
+
 def _power(powers: list, base, e: int) -> dict:
     """base^e as int numerators, from the cached powers of base, which are
     extended one product at a time."""
@@ -589,7 +648,7 @@ class Substitution:
     """
 
     def __init__(self, u, v):
-        self._ring = type(u) if isinstance(u, _SparsePoly) else type(v)
+        self._ring = _ring(u, v)
         self._u, self._du = _numerators(_bivariate(u))
         self._v, self._dv = _numerators(_bivariate(v))
         self._upow = [{(0, 0): 1}]
@@ -614,12 +673,7 @@ class Substitution:
                 _axpy(acc, n * du ** (dx - i) * scale, self._upow[i].items())
             if j > below and acc:
                 acc = _convolve(acc.items(), _power(self._vpow, self._v, j - below).items())
-        out = _over(acc, dp * du**dx * dv**dy)
-        if self._ring is BiPoly:
-            return BiPoly._new(out)
-        if self._ring is UniPoly:
-            return UniPoly._new({i: c for (i, _), c in out.items()})
-        return out.get((0, 0), 0)
+        return _in_ring(self._ring, _over(acc, dp * du**dx * dv**dy))
 
 
 @dataclass(frozen=True)
@@ -652,9 +706,87 @@ def compose_map(outer: PolyMap, inner: PolyMap) -> PolyMap:
     return PolyMap(sub.apply(outer.first), sub.apply(outer.second))
 
 
+def _cross_sparse(a, b) -> dict:
+    """f_x*g_y - f_y*g_x for integer term lists a of f and b of g, term
+    pair by term pair: terms n1*x^i1*y^j1 and n2*x^i2*y^j2 add
+    (i1*j2 - j1*i2)*n1*n2 at (i1 + i2 - 1, j1 + j2 - 1)."""
+    out: dict[tuple[int, int], int] = {}
+    get = out.get
+    for (i1, j1), n1 in a:
+        for (i2, j2), n2 in b:
+            w = i1 * j2 - j1 * i2
+            if w:
+                k = (i1 + i2 - 1, j1 + j2 - 1)
+                s = get(k, 0) + w * n1 * n2
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return out
+
+
+def _cross_packed(a, b, width: int) -> dict:
+    """The same f_x*g_y - f_y*g_x by Kronecker substitution: x^i*y^j ->
+    2^(B*(i + j*width)), where width exceeds the x-degree of every term
+    of the result.
+
+    A term of f_y (g_y) can reach x-degree width only when g (f) has no
+    x, so its product with g_x (f_x) is zero whatever it packs to.
+    """
+    fx = [((i - 1, j), i * n) for (i, j), n in a if i]
+    fy = [((i, j - 1), j * n) for (i, j), n in a if j]
+    gx = [((i - 1, j), i * n) for (i, j), n in b if i]
+    gy = [((i, j - 1), j * n) for (i, j), n in b if j]
+
+    # With |.| the sum of absolute values, every coefficient of the
+    # result is at most |fx|*|gy| + |fy|*|gx| in magnitude, and every
+    # packed one at most the |.| of its list: B holds the largest of
+    # these, plus a sign bit, in whole bytes.
+    nx, ny, mx, my = (sum(abs(n) for _, n in t) for t in (fx, fy, gx, gy))
+    top = max(nx * my + ny * mx, nx, ny, mx, my)
+    nb = (top.bit_length() + 8) // 8
+    bits = 8 * nb
+
+    def pack(terms):
+        size = nb * (max((i + j * width for (i, j), _ in terms), default=-1) + 1)
+        pos, neg = bytearray(size), bytearray(size)
+        for (i, j), n in terms:
+            at = nb * (i + j * width)
+            if n > 0:
+                pos[at : at + nb] = n.to_bytes(nb, "little")
+            else:
+                neg[at : at + nb] = (-n).to_bytes(nb, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    packed = pack(fx) * pack(gy) - pack(fy) * pack(gx)
+    # Balanced digits lie in [-2^(B-1), 2^(B-1)): adding 2^(B-1) to each
+    # of the first ndig digits makes them the plain base-2^B digits.
+    ndig = abs(packed).bit_length() // bits + 1
+    half = 1 << (bits - 1)
+    bias = half * ((1 << (bits * ndig)) - 1) // ((1 << bits) - 1)
+    raw = (packed + bias).to_bytes(nb * ndig, "little")
+    out: dict[tuple[int, int], int] = {}
+    for k in range(ndig):
+        d = int.from_bytes(raw[nb * k : nb * (k + 1)], "little") - half
+        if d:
+            j, i = divmod(k, width)
+            out[(i, j)] = d
+    return out
+
+
 def jacobian_det(H: PolyMap) -> BiPoly:
-    """Determinant of the Jacobian matrix of H."""
-    return H.first.diff("x") * H.second.diff("y") - H.first.diff("y") * H.second.diff("x")
+    """Determinant of the Jacobian matrix of H, f_x*g_y - f_y*g_x for
+    H = (f, g), on integer numerators (see the module docstring)."""
+    f, g = H.first._t, H.second._t
+    a, da = _numerators(f)
+    b, db = _numerators(g)
+    width = max((i for i, _ in f), default=0) + max((i for i, _ in g), default=0)
+    rows = max((j for _, j in f), default=0) + max((j for _, j in g), default=0)
+    if width * rows <= len(f) * len(g):
+        out = _cross_packed(a, b, width)
+    else:
+        out = _cross_sparse(a, b)
+    return BiPoly._new(_over(out, da * db))
 
 
 @dataclass(frozen=True)

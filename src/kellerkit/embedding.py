@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .arith import (
     BiPoly,
-    Coeff,
     Parametrization,
     UniPoly,
     _cdiv,
@@ -53,17 +52,11 @@ def difference_quotient(p: UniPoly) -> BiPoly:
     the y-leading coefficient of the result is the leading coefficient of
     p, so for nonconstant p the quotient is nonzero with y-degree
     deg(p) - 1.
+
+    Each key (i, k - 1 - i) gets exactly one coefficient, that of x^k in
+    p, already normalized and nonzero, so the terms go straight in.
     """
-    terms: dict[tuple[int, int], Coeff] = {}
-    for k, c in p.terms():
-        for i in range(k):
-            key = (i, k - 1 - i)
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-    return BiPoly(terms)
+    return BiPoly._new({(i, k - 1 - i): c for k, c in p._t.items() for i in range(k)})
 
 
 @dataclass(frozen=True)

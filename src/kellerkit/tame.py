@@ -32,6 +32,7 @@ from .arith import (
     PolyMap,
     Substitution,
     UniPoly,
+    _affine_image,
     _cdiv,
     _horner,
     _norm_fields,
@@ -101,11 +102,10 @@ class AffineFactor(_FactorMap):
         )
 
     def apply(self, pair):
-        """Compose with a pair of ring elements: self o (P, Q)."""
-        p, q = pair
-        return (
-            self.a11 * p + self.a12 * q + self.b1,
-            self.a21 * p + self.a22 * q + self.b2,
+        """Compose with a pair of ring elements: self o (P, Q), summed on
+        the integer numerators of P and Q."""
+        return _affine_image(
+            pair, ((self.a11, self.a12, self.b1), (self.a21, self.a22, self.b2))
         )
 
     def to_json_dict(self) -> dict:

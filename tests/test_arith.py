@@ -1,6 +1,7 @@
 """Exact arithmetic kernel: polynomials, maps, resultants."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,16 @@ from kellerkit import (
     restrict_to_line,
     resultant_y,
 )
-from kellerkit.arith import _zquo, frac_pair, line_parametrization, normalize_leading
+from kellerkit.arith import (
+    _cross_packed,
+    _cross_sparse,
+    _numerators,
+    _zquo,
+    frac_pair,
+    line_parametrization,
+    normalize_leading,
+)
+from kellerkit.cli import parse_bipoly
 
 from conftest import (
     assert_bipoly_equal_by_eval,
@@ -552,6 +562,108 @@ class TestPolyMap:
             rhs = jacobian_det(F).substitute(G.first, G.second) * jacobian_det(G)
             assert_bipoly_equal_by_eval(lhs, rhs, rng)
             assert lhs == rhs
+
+
+def _jacobian_oracle(H: PolyMap) -> BiPoly:
+    """f_x*g_y - f_y*g_x through the ring operations."""
+    f, g = H.first, H.second
+    return f.diff("x") * g.diff("y") - f.diff("y") * g.diff("x")
+
+
+def _assert_jacobian(H: PolyMap) -> BiPoly:
+    """jacobian_det against the oracle, terms and stored types, and its
+    two strategies against each other on H's numerators."""
+    got, want = jacobian_det(H), _jacobian_oracle(H)
+    assert got == want
+    assert [type(c) for _, c in got.terms()] == [type(c) for _, c in want.terms()]
+    _assert_stored_reduced(got)
+    a, _ = _numerators(H.first._t)
+    b, _ = _numerators(H.second._t)
+    width = max(H.first.degree_x(), 0) + max(H.second.degree_x(), 0)
+    assert _cross_packed(a, b, width) == _cross_sparse(a, b)
+    return got
+
+
+# f and g of TestJacobian.test_sparse_degree_5000: few terms, a dense
+# grid of 5,000 x 5,000 digits.
+SPARSE_F = "x^3000*y^2000 + y"
+SPARSE_G = "x + 3*x^2000*y^3000"
+SPARSE_JACOBIAN = "15000000*x^4999*y^4999 - 2000*x^3000*y^1999 - 6000*x^1999*y^3000 - 1"
+
+
+class TestJacobian:
+    @given(bipolys, bipolys)
+    def test_matches_oracle(self, f, g):
+        _assert_jacobian(PolyMap(f, g))
+
+    def test_seeded_maps_hit_both_strategies(self, rng):
+        packed = set()
+        for _ in range(200):
+            deg, bound = rng.randint(1, 6), rng.choice((3, 2**70))
+            f, g = random_bipoly(rng, deg, bound), random_bipoly(rng, deg, bound)
+            if rng.random() < 0.3:  # sparse: a few high-degree terms
+                f = f + BiPoly({(rng.randint(0, 40), rng.randint(0, 40)): rng.randint(-bound, bound)})
+            _assert_jacobian(PolyMap(f, g))
+            if f and g:
+                grid = (f.degree_x() + g.degree_x()) * (f.degree_y() + g.degree_y())
+                packed.add(grid <= len(f.support()) * len(g.support()))
+        assert packed == {True, False}
+
+    def test_zero_and_constant_components(self, rng):
+        for _ in range(10):
+            f = random_bipoly(rng, 3, 9)
+            for c in (BiPoly.zero(), BiPoly.constant(7), BiPoly.constant(Fraction(-2, 3))):
+                assert _assert_jacobian(PolyMap(f, c)).is_zero()
+                assert _assert_jacobian(PolyMap(c, f)).is_zero()
+        assert _assert_jacobian(PolyMap(BiPoly.x(), BiPoly.zero())).is_zero()
+        assert _assert_jacobian(PolyMap(BiPoly.y() * 5, BiPoly.x())) == BiPoly.constant(-5)
+
+    def test_coefficients_past_64_bits_with_negative_top_digits(self):
+        big = 2**64 + 12345
+        X, Y = BiPoly.x(), BiPoly.y()
+        H = PolyMap(X * -big + Y**2 * (3 * big), X**3 * big + X * Y * (big + 1) - Y)
+        jac = _assert_jacobian(H)
+        # y^2 is the top packed digit, x^2*y the one below it.
+        assert jac == BiPoly({
+            (0, 2): -6 * big * (big + 1), (2, 1): -18 * big**2, (1, 0): -big * (big + 1), (0, 0): big,
+        })
+        # One nonconstant component more, still a single negative digit.
+        H2 = PolyMap(X * -big + Y**3 * big, Y * big)
+        assert _assert_jacobian(H2) == BiPoly.constant(-(big**2))
+
+    def test_digit_at_the_sign_bit(self):
+        """A coefficient of 2^(8k - 1) needs the sign bit above its own
+        bits: in a digit of 8k bits it would read back negative."""
+        for e in (7, 8, 15, 63, 64, 127):
+            for c in (2**e, -(2**e), 2**e - 1):
+                H = PolyMap(BiPoly.x(), BiPoly({(0, 1): c}))
+                assert _assert_jacobian(H) == BiPoly.constant(c)
+
+    def test_fractional_map_with_integral_jacobian_stores_ints(self, rng):
+        for _ in range(20):
+            f, g = random_bipoly(rng, 3, 5), random_bipoly(rng, 3, 5)
+            H = PolyMap(f * Fraction(2, 3), g * Fraction(3, 2))
+            jac = _assert_jacobian(H)
+            assert jac == jacobian_det(PolyMap(f, g))
+            assert all(type(c) is int for c in jac._t.values())
+        half = PolyMap(BiPoly({(1, 0): Fraction(1, 2), (0, 2): Fraction(1, 3)}), BiPoly({(0, 1): 2}))
+        assert jacobian_det(half)._t == {(0, 0): 1}
+        assert type(jacobian_det(half).constant_value()) is int
+
+    def test_fractional_jacobian_is_reduced(self):
+        H = PolyMap(BiPoly({(1, 0): Fraction(1, 6), (1, 1): 1}), BiPoly({(0, 1): Fraction(3, 4)}))
+        assert _assert_jacobian(H) == BiPoly({(0, 0): Fraction(1, 8), (0, 1): Fraction(3, 4)})
+
+    def test_sparse_degree_5000(self):
+        """A Jacobian checked by hand, on a map whose dense grid has 25
+        million cells: f_x*g_y = 27,000,000*x^4999*y^4999 and f_y*g_x =
+        (2000*x^3000*y^1999 + 1)*(1 + 6000*x^1999*y^3000)."""
+        H = PolyMap(parse_bipoly(SPARSE_F), parse_bipoly(SPARSE_G))
+        start = time.perf_counter()
+        jac = jacobian_det(H)
+        assert time.perf_counter() - start < 2.0
+        assert jac.render() == SPARSE_JACOBIAN
+        assert jac == _jacobian_oracle(H)
 
 
 class TestParametrization:

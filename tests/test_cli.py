@@ -262,6 +262,14 @@ class TestCommands:
         assert "jacobian: 2*x" in out
         assert "keller: false" in out
 
+    def test_jac_sparse_degree_5000(self, capsys):
+        """The sparse map of test_arith's TestJacobian, whose dense grid
+        would hold 25 million cells."""
+        assert main(["jac", "x^3000*y^2000 + y", "x + 3*x^2000*y^3000"]) == 0
+        out = capsys.readouterr().out
+        assert "jacobian: 15000000*x^4999*y^4999 - 2000*x^3000*y^1999 - 6000*x^1999*y^3000 - 1" in out
+        assert "keller: false" in out
+
     def test_polygon(self, capsys):
         assert main(["polygon", "y^2 - x^3"]) == 0
         assert "vertices: (0, 0) (3, 0) (0, 2)" in capsys.readouterr().out

@@ -82,6 +82,35 @@ class TestAffineFactor:
         assert B.a11 == Fraction(1, 2)
         assert B.b1 == Fraction(-1, 2)
 
+    def test_apply_matches_ring_operations(self, rng):
+        """apply sums integer numerators; a*p + b*q + e through the ring's
+        own operations gives the same terms and stored types, in the
+        pair's ring: BiPoly, UniPoly or scalars, an int where integral."""
+        def frac():
+            return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
+
+        for _ in range(150):
+            entries = [frac() for _ in range(6)]
+            if entries[0] * entries[3] == entries[1] * entries[2]:
+                continue
+            A = AffineFactor(*entries)
+            for ring in (BiPoly, UniPoly, Fraction):
+                if ring is BiPoly:
+                    p, q = (random_bipoly(rng, 3, 5) * frac() for _ in range(2))
+                elif ring is UniPoly:
+                    p, q = (random_unipoly(rng, 4, 5) * frac() for _ in range(2))
+                else:
+                    p, q = frac(), frac()
+                got = A.apply((p, q))
+                want = (A.a11 * p + A.a12 * q + A.b1, A.a21 * p + A.a22 * q + A.b2)
+                assert got == want
+                for g, v in zip(got, want):
+                    if ring is Fraction:
+                        assert type(g) is (int if Fraction(v).denominator == 1 else Fraction)
+                    else:
+                        assert type(g) is ring
+                        assert [type(c) for _, c in g.terms()] == [type(c) for _, c in v.terms()]
+
     def test_render(self):
         assert AffineFactor(2, 0, 0, 3).render() == "affine (2*x, 3*y)"
 
