@@ -30,19 +30,24 @@ jacobian_det, the Keller gate, is one integer kernel with no
 intermediate BiPoly: it reads the numerators of f and g once, computes
 f_x*g_y - f_y*g_x into one int dict and divides once.  With W and R the
 sums of the x-degrees and of the y-degrees of f and g, every term of the
-result lies in a W by R grid, and an exact size rule picks the strategy:
-- W*R <= |f|*|g| (terms): Kronecker substitution, x^i*y^j -> 2^(B*(i +
-  j*W)).  The four derivatives are packed into Python ints, their
-  positive and negative parts written into bytearrays, and the cross
-  product is two C bigint multiplications.  B is a whole number of bytes
-  holding |f_x|*|g_y| + |f_y|*|g_x| (|.| the sum of absolute values, a
-  bound on every coefficient of the result), every packed coefficient,
-  and a sign bit.  The result's balanced base-2^B digits are read up to
-  its top digit only, so a Keller map's constant Jacobian unpacks in
-  O(1).
+result lies in a W by R grid.  If W*R is 0 (f_x = g_x = 0 or f_y = g_y =
+0) the result is 0.  Otherwise an exact count of the work items of each
+strategy picks one:
+- W*R + 2*(m + n) <= m*n, for m and n terms in f and g: the grid cells
+  and the derivative terms the packing writes are no more than the term
+  pairs of the other strategy.  Kronecker substitution, x^i*y^j ->
+  2^(B*(i + j*W)).  The four derivatives are packed into Python ints,
+  their positive and negative parts written into bytearrays, and the
+  cross product is two C bigint multiplications.  B is a whole number
+  of bytes holding |f_x|*|g_y| + |f_y|*|g_x| (|.| the sum of absolute
+  values, a bound on every coefficient of the result), every packed
+  coefficient, and a sign bit.  The result's balanced base-2^B digits
+  are read up to its top digit only, so a Keller map's constant
+  Jacobian unpacks in O(1).
 - otherwise: one pass over the term pairs, adding (i1*j2 - j1*i2)*a*b at
-  (i1 + i2 - 1, j1 + j2 - 1), which bounds the work on sparse input of
-  high degree, whose grid would be too large to pack.
+  (i1 + i2 - 1, j1 + j2 - 1).  It bounds the work on sparse input of
+  high degree, whose grid would be too large to pack, and wins on small
+  maps, where packing four lists costs more than a few pairs.
 Only the Jacobian packs: there the product cancels to a few terms, so
 unpacking is cheap.  The general product kernel _convolve stays a term
 pair loop; a packed _convolve lost on the small products of line proofs,
@@ -782,7 +787,9 @@ def jacobian_det(H: PolyMap) -> BiPoly:
     b, db = _numerators(g)
     width = max((i for i, _ in f), default=0) + max((i for i, _ in g), default=0)
     rows = max((j for _, j in f), default=0) + max((j for _, j in g), default=0)
-    if width * rows <= len(f) * len(g):
+    if not width * rows:  # f_x = g_x = 0 or f_y = g_y = 0
+        return BiPoly.zero()
+    if width * rows + 2 * (len(f) + len(g)) <= len(f) * len(g):
         out = _cross_packed(a, b, width)
     else:
         out = _cross_sparse(a, b)

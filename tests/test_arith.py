@@ -606,7 +606,8 @@ class TestJacobian:
             _assert_jacobian(PolyMap(f, g))
             if f and g:
                 grid = (f.degree_x() + g.degree_x()) * (f.degree_y() + g.degree_y())
-                packed.add(grid <= len(f.support()) * len(g.support()))
+                nf, ng = len(f.support()), len(g.support())
+                packed.add(grid > 0 and grid + 2 * (nf + ng) <= nf * ng)
         assert packed == {True, False}
 
     def test_zero_and_constant_components(self, rng):
@@ -664,6 +665,27 @@ class TestJacobian:
         assert time.perf_counter() - start < 2.0
         assert jac.render() == SPARSE_JACOBIAN
         assert jac == _jacobian_oracle(H)
+
+    def test_huge_degree_in_one_variable_only(self):
+        """With no y (or no x) in either component, or one component
+        zero, the Jacobian is 0 however high the degree: no grid is
+        built."""
+        X, Y = BiPoly.x(), BiPoly.y()
+        big = BiPoly({(10**9, 0): 1})
+        # Ten terms each: the term pairs outweigh the packing's work, so
+        # only the empty-grid check keeps 10^9 digits from being packed.
+        many = BiPoly({(10**9 - k, 0): k + 1 for k in range(10)})
+        many_y = BiPoly({(0, 10**9 - k): k - 5 for k in range(10)})
+        maps = [
+            PolyMap(big, X), PolyMap(X, big), PolyMap(BiPoly.zero(), big), PolyMap(big, BiPoly.zero()),
+            PolyMap(BiPoly({(0, 10**9): 3}), Y * 2 + 1), PolyMap(big + 1, BiPoly.constant(5)),
+            PolyMap(many, many + X), PolyMap(many_y * 2, many_y + 7),
+        ]
+        start = time.perf_counter()
+        for H in maps:
+            assert jacobian_det(H).is_zero()
+            assert _jacobian_oracle(H).is_zero()
+        assert time.perf_counter() - start < 2.0
 
 
 class TestParametrization:

@@ -270,6 +270,16 @@ class TestCommands:
         assert "jacobian: 15000000*x^4999*y^4999 - 2000*x^3000*y^1999 - 6000*x^1999*y^3000 - 1" in out
         assert "keller: false" in out
 
+    @pytest.mark.parametrize("f, g", [
+        ("x^1000000000", "x"),
+        (" + ".join("x^%d" % (10**9 - k) for k in range(10)), " + ".join("%d*x^%d" % (k, 10**9 - k) for k in range(1, 11))),
+    ], ids=["one_term", "ten_terms"])
+    def test_jac_huge_y_free_map(self, capsys, f, g):
+        assert main(["jac", f, g]) == 0
+        out = capsys.readouterr().out
+        assert "jacobian: 0" in out
+        assert "keller: false" in out
+
     def test_polygon(self, capsys):
         assert main(["polygon", "y^2 - x^3"]) == 0
         assert "vertices: (0, 0) (3, 0) (0, 2)" in capsys.readouterr().out
