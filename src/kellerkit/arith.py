@@ -2,37 +2,35 @@
 
 Univariate polynomials map exponents to coefficients, bivariate
 polynomials map exponent pairs (i, j) (for x^i * y^j) to coefficients.
-Coefficients are Python ints or fractions.Fraction values; every
-operation stores a Fraction with denominator 1 as an int, so the common
-integer-only paths stay on machine arithmetic.  Zero coefficients are
-never stored.  All values are immutable after construction and every
+Every polynomial is stored in one integer form: a dict _t from exponent
+key to nonzero int numerator, over one positive int denominator _d, so
+the coefficient at key k is _t[k] / _d.  The form is canonical: _d and
+the numerators have no common factor, and the zero polynomial has _d = 1,
+so equal polynomials store equal (_d, _t).  The public view (coeff,
+terms, leading_term, lc, constant_value, render) gives each coefficient
+as an int where _d divides its numerator and a reduced Fraction
+otherwise.  All values are immutable after construction and every
 operation returns a fresh object.
 
-BiPoly products and substitutions run on Python ints, through one
-integer product kernel, _convolve.  Each operand is read once as integer
-numerators over the lcm of its denominators (an all-int operand as it is
-stored); the work is done on the numerators alone, and the result is
-divided once, at the end, by the product of the denominators, giving an
-int where it divides and a reduced Fraction otherwise.  A product
-convolves the two operands' numerators.  Substitution of (u, v) into p,
-which also evaluates a BiPoly at a point, sums p's rows over cached
-powers of u's numerators into one accumulator and runs Horner's rule in
-v's numerators, all on int dicts (see Substitution).  The subresultant
-sequence behind resultant_y and gcd_bivariate runs on integer coefficient
-rows: each input is read once as integer numerators, laid out as rows in
-y of dense int lists in x, and a resultant is divided once, at the end,
-by the powers of the two denominators that scale it.  An affine image
+Every kernel reads _t and _d directly, works on int numerators alone and
+normalizes once, at the end, by one gcd of the new denominator and the
+new numerators (_SparsePoly._reduce; no gcd at all over 1, the common
+all-integer case).  A sum works over the lcm of the two denominators, a
+product over their product.  BiPoly products and substitutions run
+through one integer product kernel, _convolve.  Substitution of (u, v)
+into p, which also evaluates a BiPoly at a point, sums p's rows over
+cached powers of u's numerators into one accumulator and runs Horner's
+rule in v's numerators (see Substitution).  The subresultant sequence
+behind resultant_y, gcd_bivariate and gcd_univariate runs on integer
+coefficient rows (see subresultant.py).  An affine image
 a*p + b*q + e sums p's and q's numerators over one shared denominator.
-UniPoly products, small and mostly integral, multiply the stored
-coefficients directly and then store integral Fractions as ints.
 
 jacobian_det, the Keller gate, is one integer kernel with no
-intermediate BiPoly: it reads the numerators of f and g once, computes
-f_x*g_y - f_y*g_x into one int dict and divides once.  With W and R the
-sums of the x-degrees and of the y-degrees of f and g, every term of the
-result lies in a W by R grid.  If W*R is 0 (f_x = g_x = 0 or f_y = g_y =
-0) the result is 0.  Otherwise an exact count of the work items of each
-strategy picks one:
+intermediate BiPoly: it computes f_x*g_y - f_y*g_x on the numerators of
+f and g into one int dict.  With W and R the sums of the x-degrees and
+of the y-degrees of f and g, every term of the result lies in a W by R
+grid.  If W*R is 0 (f_x = g_x = 0 or f_y = g_y = 0) the result is 0.
+Otherwise an exact count of the work items of each strategy picks one:
 - W*R + 2*(m + n) <= m*n, for m and n terms in f and g: the grid cells
   and the derivative terms the packing writes are no more than the term
   pairs of the other strategy.  Kronecker substitution, x^i*y^j ->
@@ -53,8 +51,8 @@ unpacking is cheap.  The general product kernel _convolve stays a term
 pair loop; a packed _convolve lost on the small products of line proofs,
 which do not cancel.
 
-UniPoly calls and compositions and elementary factors evaluate by one
-generic Horner loop, _horner, over their own ring.
+UniPoly compositions and elementary factors evaluate by one generic
+Horner loop, _horner, over their own ring.
 
 The canonical term order is graded lexicographic with x heavier than y:
 higher total degree first, ties broken by the exponent of x.  One render
@@ -74,6 +72,7 @@ from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import DegenerateResultant, InvalidLine
+from .subresultant import _subresultants, _zmul, _zneg, _zquo
 
 Coeff = Union[int, Fraction]
 
@@ -100,6 +99,15 @@ def _norm_fields(obj) -> None:
 def _cdiv(a: Coeff, b: Coeff) -> Coeff:
     """Exact division of coefficients; never uses float division."""
     return _norm_coeff(Fraction(a) / Fraction(b))
+
+
+def _rat(n: int, d: int) -> Coeff:
+    """n / d for ints n and d != 0: an int where d divides n, a reduced
+    Fraction otherwise."""
+    if d == 1:
+        return n
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 def _var_power(var: str, e: int) -> str:
@@ -170,12 +178,13 @@ def _horner(sorted_terms, value, zero):
 
 
 class _SparsePoly:
-    """Ring operations shared by UniPoly and BiPoly, on a dict from exponent
-    key to nonzero coefficient.  A subclass sets _CONST, the key of the
-    constant term; _key, which validates one key; _deg, the total degree
-    of a key; and _order, its rank in the canonical term order."""
+    """Ring operations shared by UniPoly and BiPoly, on the integer form of
+    the module docstring: nonzero int numerators _t by exponent key, over
+    the denominator _d.  A subclass sets _CONST, the key of the constant
+    term; _key, which validates one key; _deg, the total degree of a key;
+    and _order, its rank in the canonical term order."""
 
-    __slots__ = ("_t",)
+    __slots__ = ("_t", "_d")
 
     def __init__(self, terms: dict | Iterable = ()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -187,26 +196,45 @@ class _SparsePoly:
             v = _norm_coeff(v)
             if v:
                 data[k] = v
-        self._t = data
+        # Over d, the lcm of reduced denominators, the form is canonical:
+        # each prime power of d divides some denominator, whose scaled
+        # numerator is then prime to it.
+        d = lcm(*[v.denominator for v in data.values()])
+        if d != 1:
+            data = {k: v.numerator * (d // v.denominator) for k, v in data.items()}
+        self._t, self._d = data, d
 
     @classmethod
-    def _new(cls, data: dict):
-        """Wrap a dict already free of zero coefficients, without copying."""
+    def _new(cls, data: dict, d: int = 1):
+        """Wrap int numerators over d already in canonical form, without
+        copying."""
         out = cls.__new__(cls)
-        out._t = data
+        out._t, out._d = data, d
         return out
 
     @classmethod
+    def _reduce(cls, data: dict, d: int):
+        """Wrap nonzero int numerators over d > 0, divided by their gcd
+        with d: the one normalization every kernel ends with."""
+        if d != 1:
+            g = gcd(d, *data.values())
+            if g != 1:
+                d //= g
+                data = {k: v // g for k, v in data.items()}
+        return cls._new(data, d)
+
+    @classmethod
     def zero(cls):
-        return cls()
+        return cls._new({})
 
     @classmethod
     def one(cls):
-        return cls({cls._CONST: 1})
+        return cls._new({cls._CONST: 1})
 
     @classmethod
     def constant(cls, c: Coeff):
-        return cls({cls._CONST: c})
+        c = _norm_coeff(c)
+        return cls._new({cls._CONST: c.numerator} if c else {}, c.denominator)
 
     def is_zero(self) -> bool:
         return not self._t
@@ -220,36 +248,37 @@ class _SparsePoly:
     def constant_value(self) -> Coeff:
         if not self.is_constant():
             raise ValueError("polynomial is not constant: %s" % self.render())
-        return self._t.get(self._CONST, 0)
+        return _rat(self._t.get(self._CONST, 0), self._d)
 
     def total_degree(self):
         return max(map(self._deg, self._t)) if self._t else NEG_INF
 
     def terms(self) -> list:
         """Terms in canonical order, highest first."""
-        return [(k, self._t[k]) for k in sorted(self._t, key=self._order, reverse=True)]
+        t, d = self._t, self._d
+        return [(k, _rat(t[k], d)) for k in sorted(t, key=self._order, reverse=True)]
 
     def leading_term(self) -> tuple:
         if not self._t:
             raise ValueError("the zero polynomial has no leading term")
         key = max(self._t, key=self._order)
-        return key, self._t[key]
+        return key, _rat(self._t[key], self._d)
 
     def leading_form(self):
         """Homogeneous part of top total degree."""
         d = self.total_degree()
-        return self._new({k: v for k, v in self._t.items() if self._deg(k) == d})
+        return self._reduce({k: v for k, v in self._t.items() if self._deg(k) == d}, self._d)
 
     def __eq__(self, other):
         if isinstance(other, type(self)):
-            return self._t == other._t
+            return self._d == other._d and self._t == other._t
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._t.items()))
+        return hash(frozenset(self.terms()))
 
     def __neg__(self):
-        return self._new({k: -v for k, v in self._t.items()})
+        return self._new({k: -v for k, v in self._t.items()}, self._d)
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -258,38 +287,41 @@ class _SparsePoly:
             return self.constant(other)
         return None
 
+    def _sum(self, other, sign: int):
+        """self + sign*other, for sign 1 or -1, over the lcm of the two
+        denominators."""
+        d = lcm(self._d, other._d)
+        a, b = d // self._d, sign * (d // other._d)
+        data = dict(self._t) if a == 1 else {k: a * v for k, v in self._t.items()}
+        get = data.get
+        for k, v in other._t.items():
+            s = get(k, 0) + b * v
+            if s:
+                data[k] = s
+            else:
+                del data[k]
+        return self._reduce(data, d)
+
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        data = dict(self._t)
-        for k, v in o._t.items():
-            s = data.get(k, 0) + v
-            if s:
-                data[k] = _norm_coeff(s)
-            else:
-                data.pop(k, None)
-        return self._new(data)
+        return NotImplemented if o is None else self._sum(o, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self._sum(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if o is None else o._sum(self, -1)
 
     def _scale(self, c: Coeff):
         """Product with a scalar."""
         if not c:
             return self.zero()
-        return self._new({k: _norm_coeff(v * c) for k, v in self._t.items()})
+        n = c.numerator
+        return self._reduce({k: v * n for k, v in self._t.items()}, self._d * c.denominator)
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -321,15 +353,6 @@ class _SparsePoly:
         return "-" + text[3:] if text[1] == "-" else text[3:]
 
 
-def _ints(data: dict) -> dict:
-    """data with each Fraction of denominator 1 stored as its int; all-int
-    data as it is."""
-    for v in data.values():
-        if type(v) is not int:
-            return {k: _norm_coeff(v) for k, v in data.items()}
-    return data
-
-
 class UniPoly(_SparsePoly):
     """Sparse univariate polynomial with exact rational coefficients."""
 
@@ -344,23 +367,23 @@ class UniPoly(_SparsePoly):
 
     @classmethod
     def x(cls) -> "UniPoly":
-        return cls({1: 1})
+        return cls._new({1: 1})
 
     degree = _SparsePoly.total_degree
 
     def lc(self) -> Coeff:
         """Leading coefficient; 0 for the zero polynomial."""
-        return self._t[max(self._t)] if self._t else 0
+        return self.leading_term()[1] if self._t else 0
 
     def coeff(self, k: int) -> Coeff:
-        return self._t.get(k, 0)
+        return _rat(self._t.get(k, 0), self._d)
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             if isinstance(other, (int, Fraction)):
                 return self._scale(other)
             return NotImplemented
-        out: dict[int, Coeff] = {}
+        out: dict[int, int] = {}
         get = out.get
         for k1, v1 in self._t.items():
             for k2, v2 in other._t.items():
@@ -370,7 +393,7 @@ class UniPoly(_SparsePoly):
                     out[k] = s
                 else:
                     del out[k]
-        return UniPoly._new(_ints(out))
+        return UniPoly._reduce(out, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -379,25 +402,11 @@ class UniPoly(_SparsePoly):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q: dict[int, Coeff] = {}
-        r = dict(self._t)
-        do = other.degree()
-        lo = other.lc()
-        while r:
-            dr = max(r)
-            if dr < do:
-                break
-            c = _cdiv(r[dr], lo)
-            k = dr - do
-            q[k] = c
-            for ko, vo in other._t.items():
-                kk = ko + k
-                s = r.get(kk, 0) - c * vo
-                if s:
-                    r[kk] = s
-                else:
-                    r.pop(kk, None)
-        return UniPoly._new(q), UniPoly._new(_ints(r))
+        q, r = UniPoly.zero(), self
+        while r and r.degree() >= other.degree():
+            t = UniPoly({r.degree() - other.degree(): _cdiv(r.lc(), other.lc())})
+            q, r = q + t, r - t * other
+        return q, r
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
@@ -409,66 +418,37 @@ class UniPoly(_SparsePoly):
         return q
 
     def derivative(self) -> "UniPoly":
-        return UniPoly({k - 1: k * v for k, v in self._t.items() if k > 0})
+        return UniPoly._reduce({k - 1: k * v for k, v in self._t.items() if k > 0}, self._d)
 
     def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        lead = self.lc()
-        if lead == 1:
-            return self
-        return UniPoly({k: _cdiv(v, lead) for k, v in self._t.items()})
+        return self._scale(Fraction(self._d, self._t[max(self._t)])) if self else self
 
     def compose(self, other: "UniPoly") -> "UniPoly":
         return _horner(self.terms(), other, UniPoly.zero())
 
     def __call__(self, value: Coeff) -> Coeff:
-        return _norm_coeff(
-            Fraction(_horner(self.terms(), Fraction(value), 0))
-        )
+        return self.to_bipoly().evaluate(value, 0)
 
     def to_bipoly(self, axis: str = "x") -> "BiPoly":
-        if axis == "x":
-            return BiPoly({(k, 0): v for k, v in self._t.items()})
-        if axis == "y":
-            return BiPoly({(0, k): v for k, v in self._t.items()})
-        raise ValueError("axis must be 'x' or 'y'")
+        if axis not in ("x", "y"):
+            raise ValueError("axis must be 'x' or 'y'")
+        return BiPoly._new({(k, 0) if axis == "x" else (0, k): v for k, v in self._t.items()}, self._d)
 
     def render(self, var: str = "x") -> str:
         return self._render(lambda k: _var_power(var, k))
 
 
 def gcd_univariate(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor over the rationals; gcd(0, 0) = 0."""
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic greatest common divisor over the rationals; gcd(0, 0) = 0.
 
-
-def _numerators(terms: dict):
-    """Bivariate terms as ((i, j), n) over d, with n / d the coefficient and
-    d the lcm of the coefficients' denominators.  Terms that are all plain
-    ints are returned as they are, over 1."""
-    for v in terms.values():
-        if type(v) is not int:
-            break
-    else:
-        return terms.items(), 1
-    d = lcm(*[v.denominator for v in terms.values()])
-    return [(k, v.numerator * (d // v.denominator)) for k, v in terms.items()], d
-
-
-def _over(numerators: dict, d: int) -> dict:
-    """Divide each nonzero integer numerator by d > 0 once: an int where d
-    divides it, a reduced Fraction otherwise."""
-    if d == 1:
-        return numerators
-    out = {}
-    for k, n in numerators.items():
-        q, r = divmod(n, d)
-        out[k] = Fraction(n, d) if r else q
-    return out
+    p and q, read as polynomials in y, give rows of constants to the
+    subresultant sequence of resultant_y; its last nonzero remainder is
+    an associate of the gcd."""
+    if not (p and q):
+        return (p or q).monic()
+    f, g = (_rows(w.to_bipoly("y"))[0] for w in (p, q))
+    h, _ = _subresultants(*((f, g) if len(f) >= len(g) else (g, f)))
+    return UniPoly._new({len(h) - 1 - i: row[0] for i, row in enumerate(h) if row}).monic()
 
 
 def _convolve(a, b) -> dict:
@@ -517,11 +497,11 @@ class BiPoly(_SparsePoly):
 
     @classmethod
     def x(cls) -> "BiPoly":
-        return cls({(1, 0): 1})
+        return cls._new({(1, 0): 1})
 
     @classmethod
     def y(cls) -> "BiPoly":
-        return cls({(0, 1): 1})
+        return cls._new({(0, 1): 1})
 
     def degree_x(self):
         return max(i for i, _ in self._t) if self._t else NEG_INF
@@ -530,7 +510,7 @@ class BiPoly(_SparsePoly):
         return max(j for _, j in self._t) if self._t else NEG_INF
 
     def coeff(self, i: int, j: int) -> Coeff:
-        return self._t.get((i, j), 0)
+        return _rat(self._t.get((i, j), 0), self._d)
 
     def support(self) -> frozenset[tuple[int, int]]:
         return frozenset(self._t)
@@ -540,22 +520,21 @@ class BiPoly(_SparsePoly):
             return self._scale(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        a, da = _numerators(self._t)
-        b, db = _numerators(other._t)
-        return BiPoly._new(_over(_convolve(a, b), da * db))
+        return BiPoly._reduce(_convolve(self._t.items(), other._t.items()), self._d * other._d)
 
     __rmul__ = __mul__
 
     def diff(self, var: str) -> "BiPoly":
+        t, d = self._t, self._d
         if var == "x":
-            return BiPoly({(i - 1, j): i * v for (i, j), v in self._t.items() if i > 0})
+            return BiPoly._reduce({(i - 1, j): i * v for (i, j), v in t.items() if i > 0}, d)
         if var == "y":
-            return BiPoly({(i, j - 1): j * v for (i, j), v in self._t.items() if j > 0})
+            return BiPoly._reduce({(i, j - 1): j * v for (i, j), v in t.items() if j > 0}, d)
         raise ValueError("var must be 'x' or 'y'")
 
     def on_x_axis(self) -> UniPoly:
         """Restrict to y = 0, as a univariate polynomial in x."""
-        return UniPoly({i: v for (i, j), v in self._t.items() if j == 0})
+        return UniPoly._reduce({i: v for (i, j), v in self._t.items() if j == 0}, self._d)
 
     def as_unipoly_in_x(self) -> UniPoly:
         """Reinterpret a y-free polynomial as univariate."""
@@ -576,15 +555,15 @@ class BiPoly(_SparsePoly):
         )
 
 
-def _bivariate(w) -> dict:
-    """The terms of a BiPoly; of a UniPoly or a scalar, as a polynomial in
-    x alone, under keys (k, 0)."""
-    if isinstance(w, BiPoly):
-        return w._t
+def _bivariate(w) -> tuple[dict, int]:
+    """The numerators and denominator of a BiPoly; of a UniPoly or a
+    scalar, as a polynomial in x alone, under keys (k, 0)."""
     if isinstance(w, UniPoly):
-        return {(k, 0): c for k, c in w._t.items()}
+        w = w.to_bipoly()
+    if isinstance(w, BiPoly):
+        return w._t, w._d
     c = _norm_coeff(w)
-    return {(0, 0): c} if c else {}
+    return {(0, 0): c.numerator} if c else {}, c.denominator
 
 
 def _ring(u, v) -> type:
@@ -592,34 +571,35 @@ def _ring(u, v) -> type:
     return type(u) if isinstance(u, _SparsePoly) else type(v)
 
 
-def _in_ring(ring: type, terms: dict):
-    """Terms free of zero coefficients, as read by _bivariate, back in
-    ring: a BiPoly, a UniPoly in x, or the constant term as a scalar."""
+def _in_ring(ring: type, terms: dict, d: int):
+    """Nonzero int numerators over d > 0, keyed as _bivariate reads them,
+    back in ring: a BiPoly, a UniPoly in x, or the constant term as a
+    scalar."""
     if ring is BiPoly:
-        return BiPoly._new(terms)
+        return BiPoly._reduce(terms, d)
     if ring is UniPoly:
-        return UniPoly._new({i: c for (i, _), c in terms.items()})
-    return terms.get((0, 0), 0)
+        return UniPoly._reduce({i: c for (i, _), c in terms.items()}, d)
+    return _rat(terms.get((0, 0), 0), d)
 
 
 def _affine_image(pair, rows) -> tuple:
     """a*P + b*Q + e for each row (a, b, e) of scalars, with P and Q the
     pair's elements, which share a ring (BiPoly, UniPoly or scalars), and
-    each component returned in that ring.  P and Q are read once as
-    integer numerators over dP and dQ; a component is summed on them over
-    the lcm of the denominators of a/dP, b/dQ and e, and divided once."""
+    each component returned in that ring.  With P and Q numerators over
+    dP and dQ, a component is summed on them over the lcm of the
+    denominators of a/dP, b/dQ and e."""
     ring = _ring(*pair)
-    (p, dp), (q, dq) = (_numerators(_bivariate(w)) for w in pair)
+    (p, dp), (q, dq) = (_bivariate(w) for w in pair)
     out = []
     for a, b, e in rows:
         parts = [(c, n, d) for c, n, d in ((a, p, dp), (b, q, dq)) if c]
         den = lcm(e.denominator, *[c.denominator * d for c, _, d in parts])
         acc: dict[tuple[int, int], int] = {}
         for c, n, d in parts:
-            _axpy(acc, c.numerator * (den // (c.denominator * d)), n)
+            _axpy(acc, c.numerator * (den // (c.denominator * d)), n.items())
         if e:
             _axpy(acc, e.numerator * (den // e.denominator), (((0, 0), 1),))
-        out.append(_in_ring(ring, _over(acc, den)))
+        out.append(_in_ring(ring, acc, den))
     return tuple(out)
 
 
@@ -634,15 +614,13 @@ def _power(powers: list, base, e: int) -> dict:
 class Substitution:
     """Substitution of a fixed pair (u, v) for (x, y), on integer numerators.
 
-    u and v are read once as integer numerators U and V over the lcm of
-    their denominators, du and dv.  For p with numerators n_ij over dp,
-    x-degree dx and y-degree dy, apply() sums
+    u and v are numerators U and V over du and dv.  For p with numerators
+    n_ij over dp, x-degree dx and y-degree dy, apply() sums
 
         row_j * dv^(dy-j) * V^j,  row_j = sum_i n_ij * du^(dx-i) * U^i,
 
     by Horner's rule in V, adding each row into the accumulator in place,
-    and divides once by dp * du^dx * dv^dy: an int where that divides, a
-    reduced Fraction otherwise.  Every product is the integer kernel
+    over dp * du^dx * dv^dy.  Every product is the integer kernel
     _convolve.  The powers of U and V are cached across apply() calls, so
     substituting the same pair into several polynomials (both components
     of a map, say) shares the multiplications.
@@ -654,17 +632,16 @@ class Substitution:
 
     def __init__(self, u, v):
         self._ring = _ring(u, v)
-        self._u, self._du = _numerators(_bivariate(u))
-        self._v, self._dv = _numerators(_bivariate(v))
+        (u, self._du), (v, self._dv) = _bivariate(u), _bivariate(v)
+        self._u, self._v = u.items(), v.items()
         self._upow = [{(0, 0): 1}]
         self._vpow = [{(0, 0): 1}]
 
     def apply(self, p: BiPoly):
         """p(u, v), in the ring of u and v."""
-        terms, dp = _numerators(p._t)
         rows: dict[int, list] = {}
         dx = 0
-        for (i, j), n in terms:
+        for (i, j), n in p._t.items():
             rows.setdefault(j, []).append((i, n))
             dx = max(dx, i)
         _power(self._upow, self._u, dx)
@@ -678,7 +655,7 @@ class Substitution:
                 _axpy(acc, n * du ** (dx - i) * scale, self._upow[i].items())
             if j > below and acc:
                 acc = _convolve(acc.items(), _power(self._vpow, self._v, j - below).items())
-        return _in_ring(self._ring, _over(acc, dp * du**dx * dv**dy))
+        return _in_ring(self._ring, acc, p._d * du**dx * dv**dy)
 
 
 @dataclass(frozen=True)
@@ -783,8 +760,7 @@ def jacobian_det(H: PolyMap) -> BiPoly:
     """Determinant of the Jacobian matrix of H, f_x*g_y - f_y*g_x for
     H = (f, g), on integer numerators (see the module docstring)."""
     f, g = H.first._t, H.second._t
-    a, da = _numerators(f)
-    b, db = _numerators(g)
+    a, b = f.items(), g.items()
     width = max((i for i, _ in f), default=0) + max((i for i, _ in g), default=0)
     rows = max((j for _, j in f), default=0) + max((j for _, j in g), default=0)
     if not width * rows:  # f_x = g_x = 0 or f_y = g_y = 0
@@ -793,7 +769,7 @@ def jacobian_det(H: PolyMap) -> BiPoly:
         out = _cross_packed(a, b, width)
     else:
         out = _cross_sparse(a, b)
-    return BiPoly._new(_over(out, da * db))
+    return BiPoly._reduce(out, H.first._d * H.second._d)
 
 
 @dataclass(frozen=True)
@@ -887,33 +863,28 @@ def restrict_to_line(H: PolyMap, line: Line):
 
 
 # ---------------------------------------------------------------------------
-# Resultants.  A bivariate polynomial p is read once as integer numerators
-# over D, the lcm of its denominators, and laid out as rows in y, highest
-# power first; each row is a polynomial in x, a dense list of ints, lowest
-# power first, with no trailing zeros (the zero row is []).  One
-# subresultant remainder sequence (Collins) runs on these rows with plain
-# int arithmetic: its pseudo-remainders stay in Z[x][y] and every quotient
-# by the recurrence scalars is exact in Z[x].  The resultant undoes the
-# scaling once at the end, from
+# Resultants.  A bivariate polynomial p, integer numerators over D, is
+# laid out as rows in y, highest power first; each row is a polynomial in
+# x, a dense list of ints, lowest power first, with no trailing zeros (the
+# zero row is []).  One subresultant remainder sequence (subresultant.py)
+# runs on these rows with plain int arithmetic.  The resultant undoes the
+# scaling once at the end, in one normalization, from
 #
-#     res_y(Dp*p, Dq*q) = Dp^deg_y(q) * Dq^deg_y(p) * res_y(p, q),
-#
-# dividing through _over, so its coefficients are ints where integral.
+#     res_y(Dp*p, Dq*q) = Dp^deg_y(q) * Dq^deg_y(p) * res_y(p, q).
 # ---------------------------------------------------------------------------
 
 
 def _rows(p: BiPoly) -> tuple[list[list[int]], int]:
     """(rows, D): p's integer numerators over D as rows in y, highest
     first; no rows for p = 0."""
-    terms, d = _numerators(p._t)
     dy = max((j for _, j in p._t), default=-1)
     rows: list[list[int]] = [[] for _ in range(dy + 1)]
-    for (i, j), n in terms:
+    for (i, j), n in p._t.items():
         row = rows[dy - j]
         if len(row) <= i:
             row += [0] * (i + 1 - len(row))
         row[i] = n
-    return rows, d
+    return rows, p._d
 
 
 def _from_rows(rows: list[list[int]]) -> BiPoly:
@@ -921,105 +892,6 @@ def _from_rows(rows: list[list[int]]) -> BiPoly:
     return BiPoly._new(
         {(i, d - idx): c for idx, row in enumerate(rows) for i, c in enumerate(row) if c}
     )
-
-
-def _zmul(a: list[int], b: list[int]) -> list[int]:
-    """Product in Z[x]; the leading coefficient never cancels."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b, i):
-                out[j] += u * v
-    return out
-
-
-def _zpow(a: list[int], e: int) -> list[int]:
-    out = [1]
-    for _ in range(e):
-        out = _zmul(out, a)
-    return out
-
-
-def _zneg(a: list[int]) -> list[int]:
-    return [-u for u in a]
-
-
-def _zcross(a: list[int], c: list[int], b: list[int], e: list[int]) -> list[int]:
-    """a*c - b*e in Z[x], with trailing zeros stripped."""
-    out = _zmul(a, c)
-    be = _zmul(b, e)
-    if len(out) < len(be):
-        out += [0] * (len(be) - len(out))
-    for k, v in enumerate(be):
-        out[k] -= v
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zquo(a: list[int], b: list[int]) -> list[int]:
-    """a / b in Z[x] for nonzero b; raises ValueError unless b divides a
-    exactly, so a quotient is never truncated."""
-    db, lb = len(b) - 1, b[-1]
-    r = list(a)
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c, m = divmod(r[k + db], lb)
-        if m:
-            raise ValueError("inexact polynomial division")
-        if c:
-            q[k] = c
-            for i in range(db):
-                r[k + i] -= c * b[i]
-    if any(r[:db]):
-        raise ValueError("inexact polynomial division")
-    return q
-
-
-def _prem(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
-    """Pseudo-remainder of rows: lc(g)^(deg f - deg g + 1) * f modulo g."""
-    dg = len(g) - 1
-    lc_g = g[0]
-    r = f
-    n = len(f) - dg
-    while len(r) > dg:
-        lc_r = r[0]
-        n -= 1
-        r = [_zcross(r[k], lc_g, g[k] if k <= dg else [], lc_r) for k in range(1, len(r))]
-        while r and not r[0]:
-            r = r[1:]
-    if n:
-        scale = _zpow(lc_g, n)
-        r = [_zmul(row, scale) for row in r]
-    return r
-
-
-def _subresultants(f: list[list[int]], g: list[list[int]]):
-    """Subresultant remainder sequence of rows f and g, deg f >= deg g >= 0,
-    both nonzero.
-
-    Returns (h, s): the last nonzero remainder and its scalar
-    subresultant, which is the resultant when h has degree 0.
-    """
-    m = len(g) - 1
-    d = len(f) - 1 - m
-    h = _prem(f, g)
-    if d % 2 == 0:
-        h = [_zneg(row) for row in h]
-    lc = g[0]
-    s = _zpow(lc, d)
-    c = _zneg(s)
-    while h:
-        k = len(h) - 1
-        f, g, m, d = g, h, k, m - k
-        b = _zneg(_zmul(lc, _zpow(c, d)))
-        h = [_zquo(row, b) for row in _prem(f, g)]
-        lc = g[0]
-        c = _zquo(_zpow(_zneg(lc), d), _zpow(c, d - 1)) if d > 1 else _zneg(lc)
-        s = _zneg(c)
-    return g, s
 
 
 def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
@@ -1040,7 +912,7 @@ def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
             s = _zneg(s)
     if len(h) > 1:
         return UniPoly.zero()
-    return UniPoly._new(_over({i: c for i, c in enumerate(s) if c}, Dp**dq * Dq**dp))
+    return UniPoly._reduce({i: c for i, c in enumerate(s) if c}, Dp**dq * Dq**dp)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,10 +927,7 @@ def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
 
 def _zprimitive(u: UniPoly) -> list[int]:
     """The primitive integer polynomial that is a positive multiple of u."""
-    terms, _ = _numerators(u._t)
-    row = [0] * (u.degree() + 1)
-    for i, n in terms:
-        row[i] = n
+    row = [u._t.get(i, 0) for i in range(u.degree() + 1)]
     g = gcd(*row)
     return [n // g for n in row]
 
@@ -1076,12 +945,7 @@ def _primitive(f: list[list[int]]) -> tuple[UniPoly, list[list[int]]]:
 
 def normalize_leading(p: BiPoly) -> BiPoly:
     """Scale so the graded-lex leading coefficient is 1."""
-    if p.is_zero():
-        return p
-    _, c = p.leading_term()
-    if c == 1:
-        return p
-    return p * _cdiv(1, c)
+    return p * _cdiv(1, p.leading_term()[1]) if p else p
 
 
 def gcd_bivariate(a: BiPoly, b: BiPoly) -> BiPoly:

@@ -53,10 +53,10 @@ def difference_quotient(p: UniPoly) -> BiPoly:
     p, so for nonconstant p the quotient is nonzero with y-degree
     deg(p) - 1.
 
-    Each key (i, k - 1 - i) gets exactly one coefficient, that of x^k in
-    p, already normalized and nonzero, so the terms go straight in.
+    Each key (i, k - 1 - i) gets exactly one numerator, that of x^k in
+    p, over p's denominator.
     """
-    return BiPoly._new({(i, k - 1 - i): c for k, c in p._t.items() for i in range(k)})
+    return BiPoly._reduce({(i, k - 1 - i): c for k, c in p._t.items() for i in range(k)}, p._d)
 
 
 @dataclass(frozen=True)

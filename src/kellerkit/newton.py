@@ -68,6 +68,14 @@ class Polygon:
             raise ValueError("polygon does not contain the origin")
 
     @classmethod
+    def _canonical(cls, vertices) -> "Polygon":
+        """Wrap Fraction vertices already in canonical convex position
+        around the origin, without re-deriving the hull."""
+        out = cls.__new__(cls)
+        out._v = tuple(vertices)
+        return out
+
+    @classmethod
     def from_points(cls, points) -> "Polygon":
         return cls(_hull((Fraction(x), Fraction(y)) for x, y in points))
 
@@ -124,8 +132,11 @@ class Polygon:
 
 
 def newton_polygon(p: BiPoly) -> Polygon:
-    """Convex hull of the support of p together with the origin."""
-    return Polygon(_hull(p.support() | {(0, 0)}))
+    """Convex hull of the support of p together with the origin, taken on
+    the integer exponents."""
+    return Polygon._canonical(
+        (Fraction(i), Fraction(j)) for i, j in _hull(p.support() | {(0, 0)})
+    )
 
 
 def scale_polygon(p: Polygon, factor) -> Polygon:
@@ -135,7 +146,7 @@ def scale_polygon(p: Polygon, factor) -> Polygon:
     f = Fraction(factor)
     if f <= 0:
         raise NonPositiveFactor("scale factor must be positive, got %s" % f)
-    return Polygon((f * x, f * y) for x, y in p.vertices)
+    return Polygon._canonical((f * x, f * y) for x, y in p.vertices)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 from typing import Union
 
 from .arith import (
@@ -36,6 +37,7 @@ from .arith import (
     _cdiv,
     _horner,
     _norm_fields,
+    _rat,
     frac_pair,
     is_keller,
 )
@@ -87,19 +89,17 @@ class AffineFactor(_FactorMap):
         )
 
     def inverse(self) -> "AffineFactor":
-        d = self.det()
-        i11 = _cdiv(self.a22, d)
-        i12 = _cdiv(-self.a12, d)
-        i21 = _cdiv(-self.a21, d)
-        i22 = _cdiv(self.a11, d)
-        return AffineFactor(
-            i11,
-            i12,
-            i21,
-            i22,
-            -(i11 * self.b1 + i12 * self.b2),
-            -(i21 * self.b1 + i22 * self.b2),
-        )
+        """With M and c the integer matrix and translation over D, the lcm
+        of the six denominators, the inverse is D*adj(M)/det(M) with
+        translation -adj(M)*c/det(M): six exact quotients."""
+        fields = (self.a11, self.a12, self.a21, self.a22, self.b1, self.b2)
+        D = lcm(*[v.denominator for v in fields])
+        m11, m12, m21, m22, c1, c2 = (v.numerator * (D // v.denominator) for v in fields)
+        det = m11 * m22 - m12 * m21
+        return AffineFactor(*(
+            _rat(n, det)
+            for n in (D * m22, -D * m12, -D * m21, D * m11, m12 * c2 - m22 * c1, m21 * c1 - m11 * c2)
+        ))
 
     def apply(self, pair):
         """Compose with a pair of ring elements: self o (P, Q), summed on

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -29,7 +30,6 @@ from kellerkit import (
 from kellerkit.arith import (
     _cross_packed,
     _cross_sparse,
-    _numerators,
     _zquo,
     frac_pair,
     line_parametrization,
@@ -66,9 +66,9 @@ bipolys = st.dictionaries(
 
 
 def _with_unit_fractions(p: BiPoly) -> BiPoly:
-    """p storing each integer coefficient as a Fraction with denominator 1,
-    which _new passes through and a UniPoly product can still leave."""
-    return BiPoly._new({k: Fraction(v) for k, v in p._t.items()})
+    """p built from its coefficients given as Fractions, each integer one
+    with denominator 1."""
+    return BiPoly({k: Fraction(v) for k, v in p.terms()})
 
 
 def _fraction_convolution(p: BiPoly, q: BiPoly) -> dict:
@@ -81,8 +81,14 @@ def _fraction_convolution(p: BiPoly, q: BiPoly) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def _numerator_terms(p: BiPoly) -> list:
+    """p's terms scaled to integers by the lcm of their denominators."""
+    d = lcm(*[Fraction(c).denominator for _, c in p.terms()])
+    return [(k, int(c * d)) for k, c in p.terms()]
+
+
 def _assert_stored_reduced(p: BiPoly) -> None:
-    for v in p._t.values():
+    for _, v in p.terms():
         assert v != 0
         assert type(v) is int or (type(v) is Fraction and v.denominator > 1), v
 
@@ -219,6 +225,26 @@ class TestUniPoly:
         assert gcd_univariate(p, z) == UniPoly({1: 1})
         assert gcd_univariate(z, p) == UniPoly({1: 1})
 
+    @given(unipolys, unipolys, unipolys)
+    def test_gcd_matches_euclid(self, a, b, c):
+        """The subresultant gcd against the Euclid sequence of UniPoly.__mod__,
+        on zero, constants and planted common factors c."""
+        third = UniPoly.constant(Fraction(-1, 3))
+        pairs = [(a, b), (a * c, b * c), (b * c, a * c), (a, UniPoly.zero()),
+                 (UniPoly.zero(), b), (third, b * c), (a * c * c, c), (c, c * Fraction(2, 7))]
+        for p, q in pairs:
+            got = gcd_univariate(p, q)
+            assert got == _euclid_gcd(p, q)
+            _assert_integer_form(got)
+
+    def test_gcd_of_seeded_planted_factors(self, rng):
+        for _ in range(40):
+            p, q, g = (random_unipoly(rng, 4, 9) * random_fraction(rng) for _ in range(3))
+            got = gcd_univariate(p * g, q * g)
+            assert got == _euclid_gcd(p * g, q * g)
+            if g:
+                assert (got % g.monic()).is_zero()
+
     @given(unipolys, unipolys)
     def test_gcd_divides_both(self, p, q):
         g = gcd_univariate(p, q)
@@ -314,17 +340,17 @@ class TestBiPoly:
         ]
         for a, b in pairs:
             product = a * b
-            assert product._t == _fraction_convolution(a, b)
+            assert dict(product.terms()) == _fraction_convolution(a, b)
             _assert_stored_reduced(product)
 
     def test_product_of_unit_fractions(self):
         half = BiPoly({(1, 0): Fraction(1, 2)})
         total = half + half
-        assert total._t == {(1, 0): 1} and type(total._t[(1, 0)]) is int
-        p = _with_unit_fractions(BiPoly.x())  # holds x as Fraction(1, 1)
-        assert type(p._t[(1, 0)]) is Fraction
+        assert total.terms() == [((1, 0), 1)] and type(total.coeff(1, 0)) is int
+        p = _with_unit_fractions(BiPoly.x())  # given x as Fraction(1, 1)
+        assert p.terms() == [((1, 0), 1)] and type(p.coeff(1, 0)) is int
         product = p * (p + BiPoly.y())
-        assert product._t == {(2, 0): 1, (1, 1): 1}
+        assert dict(product.terms()) == {(2, 0): 1, (1, 1): 1}
         _assert_stored_reduced(product)
 
     @pytest.mark.parametrize("cls", [UniPoly, BiPoly])
@@ -352,11 +378,11 @@ class TestBiPoly:
         a = BiPoly({(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 2)})
         b = BiPoly({(1, 0): 2, (0, 0): -2})
         product = a * b  # x^2 - 1: the x terms cancel, the rest is integral
-        assert product._t == {(2, 0): 1, (0, 0): -1}
+        assert dict(product.terms()) == {(2, 0): 1, (0, 0): -1}
         _assert_stored_reduced(product)
         c = BiPoly({(0, 1): Fraction(2, 3), (0, 0): Fraction(5, 4)})
         product = c * BiPoly({(0, 1): Fraction(3, 4)})
-        assert product._t == {(0, 2): Fraction(1, 2), (0, 1): Fraction(15, 16)}
+        assert dict(product.terms()) == {(0, 2): Fraction(1, 2), (0, 1): Fraction(15, 16)}
         _assert_stored_reduced(product)
 
     def test_diff(self):
@@ -420,6 +446,66 @@ class TestBiPoly:
         p = BiPoly({(2, 0): 3, (0, 0): 6})
         assert normalize_leading(p) == BiPoly({(2, 0): 1, (0, 0): 2})
         assert normalize_leading(BiPoly.zero()).is_zero()
+
+
+def _euclid_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Monic gcd by the Euclid sequence of UniPoly.__mod__."""
+    while q:
+        p, q = q, p % q
+    return p.monic()
+
+
+def _assert_integer_form(p) -> None:
+    """The stored form: nonzero int numerators over a positive int
+    denominator that shares no factor with them, 1 for the zero
+    polynomial."""
+    assert type(p._d) is int and p._d > 0
+    assert all(type(n) is int and n for n in p._t.values())
+    assert gcd(p._d, *p._t.values()) == 1
+
+
+small_bipolys = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)
+    ),
+    coeffs,
+    max_size=4,
+).map(BiPoly)
+
+nonzero_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+
+
+class TestIntegerForm:
+    @given(bipolys, bipolys, small_bipolys, small_bipolys, coeffs)
+    def test_every_kernel_returns_the_canonical_form(self, p, q, u, v, c):
+        u1, v1 = u.on_x_axis(), v.on_x_axis()
+        results = [
+            p + q, p - q, q - p, p + c, c - p, -p, p * q, p * c, c * p, p ** 2,
+            p.diff("x"), p.diff("y"), p.leading_form() if p else p, p.on_x_axis(),
+            Substitution(u, v).apply(p), Substitution(u1, v1).apply(p),
+            jacobian_det(PolyMap(p, q)), jacobian_det(PolyMap(u, v)),
+            u1 + v1, u1 - v1, u1 * v1, u1 * c, u1.derivative(), u1.monic(),
+        ]
+        if p.degree_y() >= 1 and q.degree_y() >= 1:
+            results.append(resultant_y(p, q))
+        for r in results:
+            _assert_integer_form(r)
+
+    @given(bipolys, bipolys, nonzero_fractions)
+    def test_equal_by_different_routes(self, p, q, c):
+        """Equal polynomials built by different routes compare equal, hash
+        equal and show the same terms."""
+        routes = [
+            (p + q) - q, q + (p - q), (p * c) * (1 / c), p * (q + 1) - p * q,
+            BiPoly(dict(p.terms())), BiPoly({k: Fraction(v) for k, v in p.terms()}),
+            Substitution(BiPoly.x(), BiPoly.y()).apply(p), -(-p), p * BiPoly.one(),
+        ]
+        for r in routes:
+            assert r == p and hash(r) == hash(p) and r.terms() == p.terms()
+        u = p.on_x_axis()
+        for r in ((u + u) * Fraction(1, 2), u.to_bipoly().on_x_axis(), UniPoly(dict(u.terms())),
+                  u.compose(UniPoly.x())):
+            assert r == u and hash(r) == hash(u) and r.terms() == u.terms()
 
 
 def _power_sum(p, u, v):
@@ -512,7 +598,7 @@ class TestSubstitution:
         H, H_inv = compose_map(G, F), compose_map(F_inv, G_inv)
         for K in (compose_map(H_inv, H), compose_map(H, H_inv)):
             assert K.is_identity()
-            assert [type(c) for p in (K.first, K.second) for c in p._t.values()] == [int, int]
+            assert [type(c) for p in (K.first, K.second) for _, c in p.terms()] == [int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +663,7 @@ def _assert_jacobian(H: PolyMap) -> BiPoly:
     assert got == want
     assert [type(c) for _, c in got.terms()] == [type(c) for _, c in want.terms()]
     _assert_stored_reduced(got)
-    a, _ = _numerators(H.first._t)
-    b, _ = _numerators(H.second._t)
+    a, b = _numerator_terms(H.first), _numerator_terms(H.second)
     width = max(H.first.degree_x(), 0) + max(H.second.degree_x(), 0)
     assert _cross_packed(a, b, width) == _cross_sparse(a, b)
     return got
@@ -646,9 +731,9 @@ class TestJacobian:
             H = PolyMap(f * Fraction(2, 3), g * Fraction(3, 2))
             jac = _assert_jacobian(H)
             assert jac == jacobian_det(PolyMap(f, g))
-            assert all(type(c) is int for c in jac._t.values())
+            assert all(type(c) is int for _, c in jac.terms())
         half = PolyMap(BiPoly({(1, 0): Fraction(1, 2), (0, 2): Fraction(1, 3)}), BiPoly({(0, 1): 2}))
-        assert jacobian_det(half)._t == {(0, 0): 1}
+        assert jacobian_det(half).terms() == [((0, 0), 1)]
         assert type(jacobian_det(half).constant_value()) is int
 
     def test_fractional_jacobian_is_reduced(self):
@@ -858,7 +943,7 @@ class TestResultant:
         assert resultant_y(p, q) == UniPoly({2: Fraction(1, 2), 1: Fraction(2, 9)})
         got = resultant_y(p * 6, q * 9)
         assert got == UniPoly({2: 27, 1: 12})
-        assert all(type(v) is int for v in got._t.values())
+        assert all(type(v) is int for _, v in got.terms())
 
     def test_integer_quotient_is_exact_or_raises(self):
         assert _zquo([-1, 0, 1], [1, 1]) == [-1, 1]  # (x^2 - 1) / (x + 1)

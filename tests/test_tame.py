@@ -76,6 +76,28 @@ class TestAffineFactor:
             right = compose_map(A.to_map(), A.inverse().to_map())
             assert left.is_identity() and right.is_identity()
 
+    def test_inverse_of_fractional_factors(self, rng):
+        """Random fractional factors, half with negative determinants: the
+        inverse composes to the identity both ways, inverts back to A, and
+        stores its integral entries as int."""
+        signs = set()
+        for _ in range(60):
+            entries = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5))) for _ in range(6)]
+            if entries[0] * entries[3] == entries[1] * entries[2]:
+                continue
+            A = AffineFactor(*entries)
+            inv = A.inverse()
+            signs.add(A.det() < 0)
+            assert compose_map(inv.to_map(), A.to_map()).is_identity()
+            assert compose_map(A.to_map(), inv.to_map()).is_identity()
+            assert inv.inverse() == A
+            fields = (inv.a11, inv.a12, inv.a21, inv.a22, inv.b1, inv.b2)
+            assert all(type(v) is int if v.denominator == 1 else type(v) is Fraction for v in fields)
+        assert signs == {True, False}
+        B = AffineFactor(Fraction(1, 2), 0, 0, -1, Fraction(3, 2), 4).inverse()
+        assert (B.a11, B.a22, B.b1, B.b2) == (2, -1, -3, 4)
+        assert [type(v) for v in (B.a11, B.a12, B.a21, B.a22, B.b1, B.b2)] == [int] * 6
+
     def test_inverse_keeps_exact_fractions(self):
         A = AffineFactor(2, 0, 0, 3, 1, -1)
         B = A.inverse()
