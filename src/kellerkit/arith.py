@@ -16,13 +16,14 @@ Every kernel reads _t and _d directly, works on int numerators alone and
 normalizes once, at the end, by one gcd of the new denominator and the
 new numerators (_SparsePoly._reduce; no gcd at all over 1, the common
 all-integer case).  A sum works over the lcm of the two denominators, a
-product over their product.  BiPoly products and substitutions run
-through one integer product kernel, _convolve.  Substitution of (u, v)
-into p, which also evaluates a BiPoly at a point, sums p's rows over
-cached powers of u's numerators into one accumulator and runs Horner's
-rule in v's numerators (see Substitution).  The subresultant sequence
-behind resultant_y, gcd_bivariate and gcd_univariate runs on integer
-coefficient rows (see subresultant.py).  An affine image
+product over their product.  BiPoly products run through one integer
+product kernel, _convolve.  Substitution of (u, v) into p, which also
+composes maps and evaluates a BiPoly at a point, sums p's rows over
+cached powers of u's numerators and runs Horner's rule in v's
+numerators, on term pairs through _convolve or packed (see
+Substitution).  The subresultant sequence behind resultant_y,
+gcd_bivariate and gcd_univariate runs on integer coefficient rows (see
+subresultant.py).  An affine image
 a*p + b*q + e sums p's and q's numerators over one shared denominator.
 
 jacobian_det, the Keller gate, is one integer kernel with no
@@ -34,22 +35,22 @@ Otherwise an exact count of the work items of each strategy picks one:
 - W*R + 2*(m + n) <= m*n, for m and n terms in f and g: the grid cells
   and the derivative terms the packing writes are no more than the term
   pairs of the other strategy.  Kronecker substitution, x^i*y^j ->
-  2^(B*(i + j*W)).  The four derivatives are packed into Python ints,
-  their positive and negative parts written into bytearrays, and the
-  cross product is two C bigint multiplications.  B is a whole number
-  of bytes holding |f_x|*|g_y| + |f_y|*|g_x| (|.| the sum of absolute
-  values, a bound on every coefficient of the result), every packed
-  coefficient, and a sign bit.  The result's balanced base-2^B digits
-  are read up to its top digit only, so a Keller map's constant
-  Jacobian unpacks in O(1).
+  2^(B*(i + j*W)) (kronecker.py).  The four derivatives are packed into
+  Python ints, and the cross product is two C bigint multiplications.
+  B is a whole number of bytes holding |f_x|*|g_y| + |f_y|*|g_x| (|.|
+  the sum of absolute values, a bound on every coefficient of the
+  result), every packed coefficient, and a sign bit.  The result's balanced base-2^B digits are
+  read up to its top digit only, so a Keller map's constant Jacobian
+  unpacks in O(1).
 - otherwise: one pass over the term pairs, adding (i1*j2 - j1*i2)*a*b at
   (i1 + i2 - 1, j1 + j2 - 1).  It bounds the work on sparse input of
   high degree, whose grid would be too large to pack, and wins on small
   maps, where packing four lists costs more than a few pairs.
-Only the Jacobian packs: there the product cancels to a few terms, so
-unpacking is cheap.  The general product kernel _convolve stays a term
-pair loop; a packed _convolve lost on the small products of line proofs,
-which do not cancel.
+The Jacobian and Substitution pack, through one codec: there the result
+cancels to a few terms (a constant Jacobian; the (x, y) of a map
+composed with its inverse), so unpacking is cheap.  The general product
+kernel _convolve stays a term pair loop; a packed _convolve lost on the
+small products of line proofs, which do not cancel.
 
 UniPoly compositions and elementary factors evaluate by one generic
 Horner loop, _horner, over their own ring.
@@ -72,6 +73,7 @@ from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import DegenerateResultant, InvalidLine
+from .kronecker import _cross_packed, cell_bytes, pack, unpack
 from .subresultant import _subresultants, _zmul, _zneg, _zquo
 
 Coeff = Union[int, Fraction]
@@ -117,8 +119,7 @@ def _var_power(var: str, e: int) -> str:
 
 def frac_pair(c: Coeff) -> list[int]:
     """JSON encoding of a rational: [numerator, denominator]."""
-    f = Fraction(c)
-    return [f.numerator, f.denominator]
+    return [c.numerator, c.denominator]
 
 
 class _NegInf:
@@ -603,12 +604,21 @@ def _affine_image(pair, rows) -> tuple:
     return tuple(out)
 
 
-def _power(powers: list, base, e: int) -> dict:
-    """base^e as int numerators, from the cached powers of base, which are
-    extended one product at a time."""
+def _power(powers: list, e: int, mul):
+    """powers[e]: a list of the powers of powers[1], from powers[0] = 1,
+    extended one product mul(a, b) at a time."""
     while len(powers) <= e:
-        powers.append(_convolve(powers[-1].items(), base))
+        powers.append(mul(powers[-1], powers[1]))
     return powers[e]
+
+
+def _dict_mul(a: dict, b: dict) -> dict:
+    return _convolve(a.items(), b.items())
+
+
+def _degrees(w: dict) -> tuple[int, int]:
+    """The x-degree and the y-degree of int terms w; 0 for w empty."""
+    return max((i for i, _ in w), default=0), max((j for _, j in w), default=0)
 
 
 class Substitution:
@@ -617,13 +627,33 @@ class Substitution:
     u and v are numerators U and V over du and dv.  For p with numerators
     n_ij over dp, x-degree dx and y-degree dy, apply() sums
 
-        row_j * dv^(dy-j) * V^j,  row_j = sum_i n_ij * du^(dx-i) * U^i,
+        row_j * V^j,  row_j = sum_i c_ij * U^i,  c_ij = n_ij * du^(dx-i) * dv^(dy-j),
 
-    by Horner's rule in V, adding each row into the accumulator in place,
-    over dp * du^dx * dv^dy.  Every product is the integer kernel
-    _convolve.  The powers of U and V are cached across apply() calls, so
-    substituting the same pair into several polynomials (both components
-    of a map, say) shares the multiplications.
+    by Horner's rule in V, over dp * du^dx * dv^dy.  The powers of U and V
+    are cached across apply() calls, so substituting the same pair into
+    several polynomials (both components of a map, say) shares the
+    multiplications.  An exact count of work items picks one of two
+    strategies for the sum, as in jacobian_det.  With m terms in p, n in U
+    and V together, and a W by R grid that holds every term of the result:
+
+    - W*R + 2*(m + n) <= m*n, for p of total degree 2 or more: packed
+      (kronecker.py).  U and V are packed into ints once, and their
+      powers are cached packed, so every product is a CPython bigint
+      product; the sum's int unpacks up to its top digit only, so a
+      composition that cancels to (x, y) reads few digits.  W and R
+      exceed every i*deg_x(U) + j*deg_x(V) and i*deg_y(U) + j*deg_y(V)
+      over p's keys (i, j); W also exceeds deg_x of U and V, so each
+      packs.  The digits are whole bytes holding, plus a sign bit, the
+      bound sum |c_ij|*|U|^i*|V|^j (|.| the sum of absolute values) on
+      every coefficient of the result, and |U| and |V|.  A later
+      call reuses the packed powers when their cells are large enough,
+      and repacks them at the larger of each size otherwise.
+    - otherwise: term pairs.  Each row is added into one accumulator in
+      place, and each step of Horner's rule is the product kernel
+      _convolve.  It bounds the work on sparse input of high degree,
+      whose grid would be too large to pack, and wins on small input,
+      where packing costs more than a few pairs.  2*(m + n) < m*n is
+      tested first, before any per-term work.
 
     u and v share one ring, BiPoly, UniPoly or the rationals, and apply()
     returns an element of it; a UniPoly or a scalar is read as a
@@ -633,9 +663,11 @@ class Substitution:
     def __init__(self, u, v):
         self._ring = _ring(u, v)
         (u, self._du), (v, self._dv) = _bivariate(u), _bivariate(v)
-        self._u, self._v = u.items(), v.items()
-        self._upow = [{(0, 0): 1}]
-        self._vpow = [{(0, 0): 1}]
+        self._u, self._v = u, v
+        self._upow = [{(0, 0): 1}, u]
+        self._vpow = [{(0, 0): 1}, v]
+        self._uv_degrees = None  # of U and of V, once the size rule needs them
+        self._cells = (0, 0)  # nb and W of the packed powers _pu and _pv
 
     def apply(self, p: BiPoly):
         """p(u, v), in the ring of u and v."""
@@ -644,9 +676,30 @@ class Substitution:
         for (i, j), n in p._t.items():
             rows.setdefault(j, []).append((i, n))
             dx = max(dx, i)
-        _power(self._upow, self._u, dx)
         ys = sorted(rows, reverse=True)
         dy = ys[0] if ys else 0
+        width = self._packs(p)
+        if width:
+            acc = self._packed(rows, ys, dx, dy, width)
+        else:
+            acc = self._pairs(rows, ys, dx, dy)
+        return _in_ring(self._ring, acc, p._d * self._du**dx * self._dv**dy)
+
+    def _packs(self, p: BiPoly):
+        """W when the size rule packs p, else None."""
+        t = p._t
+        m, n = len(t), len(self._u) + len(self._v)
+        if 2 * (m + n) >= m * n or max(map(sum, t)) < 2:
+            return None
+        if not self._uv_degrees:
+            self._uv_degrees = _degrees(self._u) + _degrees(self._v)
+        ux, uy, vx, vy = self._uv_degrees
+        w = 1 + max(ux, vx, *[i * ux + j * vx for i, j in t])
+        r = 1 + max(i * uy + j * vy for i, j in t)
+        return w if w * r + 2 * (m + n) <= m * n else None
+
+    def _pairs(self, rows, ys, dx, dy) -> dict:
+        _power(self._upow, dx, _dict_mul)
         du, dv = self._du, self._dv
         acc: dict[tuple[int, int], int] = {}
         for j, below in zip(ys, ys[1:] + [0]):
@@ -654,8 +707,28 @@ class Substitution:
             for i, n in rows[j]:
                 _axpy(acc, n * du ** (dx - i) * scale, self._upow[i].items())
             if j > below and acc:
-                acc = _convolve(acc.items(), _power(self._vpow, self._v, j - below).items())
-        return _in_ring(self._ring, acc, p._d * du**dx * dv**dy)
+                acc = _convolve(acc.items(), _power(self._vpow, j - below, _dict_mul).items())
+        return acc
+
+    def _packed(self, rows, ys, dx, dy, width) -> dict:
+        du, dv = self._du, self._dv
+        nu, nv = (sum(map(abs, w.values())) for w in (self._u, self._v))
+        bound = sum(abs(n) * (du ** (dx - i) * nu**i) * (dv ** (dy - j) * nv**j)
+                    for j in ys for i, n in rows[j])
+        cells = (max(cell_bytes(max(bound, nu, nv)), self._cells[0]), max(width, self._cells[1]))
+        if cells != self._cells:
+            self._cells = cells
+            self._pu, self._pv = ([1, pack(w.items(), *cells)] for w in (self._u, self._v))
+        pu = self._pu
+        _power(pu, dx, int.__mul__)
+        acc = 0
+        for j, below in zip(ys, ys[1:] + [0]):
+            scale = dv ** (dy - j)
+            for i, n in rows[j]:
+                acc += n * du ** (dx - i) * scale * pu[i]
+            if j > below:
+                acc *= _power(self._pv, j - below, int.__mul__)
+        return unpack(acc, *cells)
 
 
 @dataclass(frozen=True)
@@ -704,55 +777,6 @@ def _cross_sparse(a, b) -> dict:
                     out[k] = s
                 else:
                     del out[k]
-    return out
-
-
-def _cross_packed(a, b, width: int) -> dict:
-    """The same f_x*g_y - f_y*g_x by Kronecker substitution: x^i*y^j ->
-    2^(B*(i + j*width)), where width exceeds the x-degree of every term
-    of the result.
-
-    A term of f_y (g_y) can reach x-degree width only when g (f) has no
-    x, so its product with g_x (f_x) is zero whatever it packs to.
-    """
-    fx = [((i - 1, j), i * n) for (i, j), n in a if i]
-    fy = [((i, j - 1), j * n) for (i, j), n in a if j]
-    gx = [((i - 1, j), i * n) for (i, j), n in b if i]
-    gy = [((i, j - 1), j * n) for (i, j), n in b if j]
-
-    # With |.| the sum of absolute values, every coefficient of the
-    # result is at most |fx|*|gy| + |fy|*|gx| in magnitude, and every
-    # packed one at most the |.| of its list: B holds the largest of
-    # these, plus a sign bit, in whole bytes.
-    nx, ny, mx, my = (sum(abs(n) for _, n in t) for t in (fx, fy, gx, gy))
-    top = max(nx * my + ny * mx, nx, ny, mx, my)
-    nb = (top.bit_length() + 8) // 8
-    bits = 8 * nb
-
-    def pack(terms):
-        size = nb * (max((i + j * width for (i, j), _ in terms), default=-1) + 1)
-        pos, neg = bytearray(size), bytearray(size)
-        for (i, j), n in terms:
-            at = nb * (i + j * width)
-            if n > 0:
-                pos[at : at + nb] = n.to_bytes(nb, "little")
-            else:
-                neg[at : at + nb] = (-n).to_bytes(nb, "little")
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-    packed = pack(fx) * pack(gy) - pack(fy) * pack(gx)
-    # Balanced digits lie in [-2^(B-1), 2^(B-1)): adding 2^(B-1) to each
-    # of the first ndig digits makes them the plain base-2^B digits.
-    ndig = abs(packed).bit_length() // bits + 1
-    half = 1 << (bits - 1)
-    bias = half * ((1 << (bits * ndig)) - 1) // ((1 << bits) - 1)
-    raw = (packed + bias).to_bytes(nb * ndig, "little")
-    out: dict[tuple[int, int], int] = {}
-    for k in range(ndig):
-        d = int.from_bytes(raw[nb * k : nb * (k + 1)], "little") - half
-        if d:
-            j, i = divmod(k, width)
-            out[(i, j)] = d
     return out
 
 

@@ -1,0 +1,80 @@
+"""Kronecker substitution (Harvey, JSC 44, 2009): a bivariate integer
+polynomial as one int, so that its products are CPython bigint products.
+
+x^i*y^j -> 2^(B*(i + j*width)) is a ring map from Z[x, y] to Z: a sum or
+product of packed polynomials is the packed sum or product, whatever the
+size of the intermediates.  It is undone on a polynomial whose x-degree
+is below width and whose coefficients lie in [-2^(B-1), 2^(B-1)): they
+are the balanced base-2^B digits of its int.  B is a whole number of
+bytes, nb, so packing and unpacking copy bytes, in time linear in the
+number of cells.  arith packs the Jacobian's cross product
+(_cross_packed, here) and substitutions whose result cancels to few
+terms, so unpacking reads few digits.
+"""
+
+from __future__ import annotations
+
+
+def cell_bytes(bound: int) -> int:
+    """nb for coefficients of magnitude at most bound: the fewest whole
+    bytes that hold bound and a sign bit."""
+    return (bound.bit_length() + 8) // 8
+
+
+def pack(terms, nb: int, width: int) -> int:
+    """The int of nonzero integer terms ((i, j), n), each written into its
+    own cell of nb bytes: i < width and |n| < 2^(8*nb) make it the
+    polynomial at x = 2^(8*nb), y = 2^(8*nb*width)."""
+    size = nb * (max((i + j * width for (i, j), _ in terms), default=-1) + 1)
+    pos, neg = bytearray(size), bytearray(size)
+    for (i, j), n in terms:
+        at = nb * (i + j * width)
+        if n > 0:
+            pos[at : at + nb] = n.to_bytes(nb, "little")
+        else:
+            neg[at : at + nb] = (-n).to_bytes(nb, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def unpack(packed: int, nb: int, width: int) -> dict:
+    """The terms of a packed polynomial, by key (i, j), free of zeros.
+
+    Adding 2^(B-1) to each balanced digit makes it a plain base-2^B digit,
+    so one addition and one byte copy expose them all.  Only the digits up
+    to the top one are read: a nonzero top digit d_K gives
+    2^(B*K - 1) < |packed| < 2^(B*(K + 1) - 1).
+    """
+    bits = 8 * nb
+    ndig = abs(packed).bit_length() // bits + 1
+    half = 1 << (bits - 1)
+    zero = half.to_bytes(nb, "little")
+    raw = (packed + int.from_bytes(zero * ndig, "little")).to_bytes(nb * ndig, "little")
+    out: dict[tuple[int, int], int] = {}
+    for k in range(ndig):
+        cell = raw[nb * k : nb * (k + 1)]
+        if cell != zero:
+            j, i = divmod(k, width)
+            out[(i, j)] = int.from_bytes(cell, "little") - half
+    return out
+
+
+def _cross_packed(a, b, width: int) -> dict:
+    """f_x*g_y - f_y*g_x for integer term lists a of f and b of g, packed:
+    the packed strategy of arith.jacobian_det, where width exceeds the
+    x-degree of every term of the result.
+
+    A term of f_y (g_y) can reach x-degree width only when g (f) has no
+    x, so its product with g_x (f_x) is zero whatever it packs to.
+    """
+    fx = [((i - 1, j), i * n) for (i, j), n in a if i]
+    fy = [((i, j - 1), j * n) for (i, j), n in a if j]
+    gx = [((i - 1, j), i * n) for (i, j), n in b if i]
+    gy = [((i, j - 1), j * n) for (i, j), n in b if j]
+
+    # With |.| the sum of absolute values, every coefficient of the
+    # result is at most |fx|*|gy| + |fy|*|gx| in magnitude, and every
+    # packed one at most the |.| of its list.
+    nx, ny, mx, my = (sum(abs(n) for _, n in t) for t in (fx, fy, gx, gy))
+    nb = cell_bytes(max(nx * my + ny * mx, nx, ny, mx, my))
+    fx, fy, gx, gy = (pack(t, nb, width) for t in (fx, fy, gx, gy))
+    return unpack(fx * gy - fy * gx, nb, width)

@@ -91,15 +91,20 @@ class AffineFactor(_FactorMap):
     def inverse(self) -> "AffineFactor":
         """With M and c the integer matrix and translation over D, the lcm
         of the six denominators, the inverse is D*adj(M)/det(M) with
-        translation -adj(M)*c/det(M): six exact quotients."""
+        translation -adj(M)*c/det(M): six exact quotients.  They are
+        normalized coefficients of a nonsingular map already, so the result
+        skips __post_init__'s checks."""
         fields = (self.a11, self.a12, self.a21, self.a22, self.b1, self.b2)
         D = lcm(*[v.denominator for v in fields])
         m11, m12, m21, m22, c1, c2 = (v.numerator * (D // v.denominator) for v in fields)
         det = m11 * m22 - m12 * m21
-        return AffineFactor(*(
-            _rat(n, det)
-            for n in (D * m22, -D * m12, -D * m21, D * m11, m12 * c2 - m22 * c1, m21 * c1 - m11 * c2)
+        out = object.__new__(AffineFactor)
+        out.__dict__.update(zip(
+            self.__dataclass_fields__,
+            (_rat(n, det) for n in (D * m22, -D * m12, -D * m21, D * m11,
+                                    m12 * c2 - m22 * c1, m21 * c1 - m11 * c2)),
         ))
+        return out
 
     def apply(self, pair):
         """Compose with a pair of ring elements: self o (P, Q), summed on

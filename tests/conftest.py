@@ -27,6 +27,12 @@ from kellerkit import (
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
+# A degree-4 tame map whose final check substitutes packed, both ways and
+# in both components; tests/golden/prove_line_deg4_json.txt proves it on
+# the line x - y + 2 = 0.
+DEG4_F = "y^4 - 2*x*y^2 - 4*y^3 + x^2 + 4*x*y - 7*y^2 + 11*x + 21*y + 26"
+DEG4_G = "-y^2 + x + 2*y + 4"
+
 
 # ---------------------------------------------------------------------------
 # Random object generators (plain random.Random; hypothesis is used only

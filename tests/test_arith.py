@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -20,10 +21,14 @@ from kellerkit import (
     Substitution,
     UniPoly,
     compose_map,
+    factorization_inverse,
+    factorization_to_map,
     gcd_bivariate,
     gcd_univariate,
     jacobian_det,
     polymap_on_param,
+    prove_line,
+    random_tame,
     restrict_to_line,
     resultant_y,
 )
@@ -38,6 +43,8 @@ from kellerkit.arith import (
 from kellerkit.cli import parse_bipoly
 
 from conftest import (
+    DEG4_F,
+    DEG4_G,
     assert_bipoly_equal_by_eval,
     eval_bipoly_naive,
     eval_unipoly_naive,
@@ -599,6 +606,162 @@ class TestSubstitution:
         for K in (compose_map(H_inv, H), compose_map(H, H_inv)):
             assert K.is_identity()
             assert [type(c) for p in (K.first, K.second) for _, c in p.terms()] == [int, int]
+
+
+def _x_degree(w) -> int:
+    if isinstance(w, BiPoly):
+        return w.degree_x() if w else 0
+    return w.degree() if isinstance(w, UniPoly) and w else 0
+
+
+def _least_width(u, v, p) -> int:
+    """The least W that packs p(u, v): one more than the x-degrees of u, v
+    and the bound on the result's."""
+    ux, vx = _x_degree(u), _x_degree(v)
+    return 1 + max(ux, vx, *[i * ux + j * vx for i, j in p.support()])
+
+
+def _strategies(u, v, p) -> list:
+    """p(u, v) on term pairs and then packed, whatever Substitution's size
+    rule says, at the least W."""
+    width = _least_width(u, v, p)
+    out = []
+    for rule in (lambda self, q: None, lambda self, q: width):
+        with mock.patch.object(Substitution, "_packs", rule):
+            out.append(Substitution(u, v).apply(p))
+    return out
+
+
+def _assert_identical(a, b) -> None:
+    """Same ring element, same terms, same stored coefficient types."""
+    assert type(a) is type(b)
+    if isinstance(a, (BiPoly, UniPoly)):
+        assert a.terms() == b.terms()
+        assert [type(c) for _, c in a.terms()] == [type(c) for _, c in b.terms()]
+    else:
+        assert a == b
+
+
+def _assert_strategies_agree(u, v, p):
+    pairs, packed = _strategies(u, v, p)
+    _assert_identical(pairs, packed)
+    return packed
+
+
+class TestPackedSubstitution:
+    """Substitution's packed strategy against its term-pair strategy: the
+    same terms and the same stored types, on both sides of the size rule
+    and at the edges of the digit cells."""
+
+    @given(bipolys, bipolys, bipolys)
+    def test_bipolys(self, u, v, p):
+        _assert_strategies_agree(u, v, p)
+
+    @given(bipolys, bipolys, bipolys, bipolys)
+    def test_maps(self, f, g, u, v):
+        """Both components of a map through one Substitution, so the
+        second reuses or regrows the packed powers of the first."""
+        with mock.patch.object(Substitution, "_packs", lambda self, q: None):
+            want = compose_map(PolyMap(f, g), PolyMap(u, v))
+        sub = Substitution(u, v)
+        for p, expected in ((f, want.first), (g, want.second)):
+            width = _least_width(u, v, p)
+            with mock.patch.object(Substitution, "_packs", lambda self, q: width):
+                _assert_identical(sub.apply(p), expected)
+
+    @given(unipolys, unipolys, bipolys)
+    def test_unipolys(self, u, v, p):
+        _assert_strategies_agree(u, v, p)
+
+    @given(coeffs, coeffs, bipolys)
+    def test_scalars(self, a, b, p):
+        _assert_strategies_agree(a, b, p)
+
+    @pytest.mark.parametrize("u,v", [
+        (BiPoly.zero(), X + Y),
+        (X * Y - 3, BiPoly.zero()),
+        (BiPoly.constant(Fraction(5, 3)), Y**2 - X),
+        (X - Y**2, BiPoly.constant(-7)),
+        (BiPoly.zero(), BiPoly.zero()),
+    ])
+    def test_zero_and_constant_components(self, u, v):
+        for p in TestSubstitution.POLYS + (X**2 * Y - Y**3 * Fraction(2, 3),):
+            _assert_strategies_agree(u, v, p)
+
+    @pytest.mark.parametrize("p", [
+        -(X**3) * Y**2,
+        X - X**2 * Y**4 * Fraction(7, 2),
+        Y**5 * Fraction(-1, 3) + X**4 + 1,
+    ])
+    def test_negative_top_digits(self, p):
+        """The result's top term is negative, so its balanced top digit
+        borrows from nothing above it."""
+        for u, v in ((X, Y), (Y, X), (X + 2, Y * Fraction(1, 2)), (X * Y, Y**2 - X)):
+            got = _assert_strategies_agree(u, v, p)
+            assert got.leading_term()[1] < 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    def test_coefficients_at_cell_edges(self, k):
+        """c*x^a*y^b into itself and swapped: the bound is |c|, so c =
+        2^(8k-1) - 1 fills k bytes with the sign bit, and c = 2^(8k-1)
+        needs one byte more."""
+        for c in (2 ** (8 * k - 1) - 1, 2 ** (8 * k - 1)):
+            for sign in (1, -1):
+                for a, b in ((0, 0), (1, 0), (2, 3), (0, 4)):
+                    p = BiPoly({(a, b): sign * c})
+                    for u, v in ((X, Y), (Y, X)):
+                        got = _assert_strategies_agree(u, v, p)
+                        assert got == p.substitute(u, v) == sign * c * u**a * v**b
+
+    def test_golden_map_final_check_packs(self):
+        H = PolyMap(parse_bipoly(DEG4_F), parse_bipoly(DEG4_G))
+        inv, _, _ = prove_line(H, Line(1, -1, 2))
+        for outer, inner in ((inv, H), (H, inv)):
+            sub = Substitution(inner.first, inner.second)
+            assert sub._packs(outer.first) and sub._packs(outer.second)
+            assert compose_map(outer, inner).is_identity()
+
+    def test_seeded_words_fall_on_both_sides(self):
+        """Final checks of seeded tame words of degree up to 4: the rule
+        packs some compositions and not others, and each agrees with the
+        other strategy."""
+        sides = set()
+        for seed in range(40):
+            word = random_tame(seed, 3, 2, 3)
+            H = factorization_to_map(word)
+            inv = factorization_to_map(factorization_inverse(word))
+            for outer, inner in ((inv, H), (H, inv)):
+                for p in (outer.first, outer.second):
+                    sides.add(bool(Substitution(inner.first, inner.second)._packs(p)))
+                    got = _assert_strategies_agree(inner.first, inner.second, p)
+                    assert got == Substitution(inner.first, inner.second).apply(p)
+        assert sides == {False, True}
+
+    def test_rule_refuses_affine_and_small_input(self):
+        """An affine p stays on term pairs even when the count would pack
+        it (dense u and v of degree 5, 6 by 6 cells, 3 * 42 term pairs),
+        though a quadratic p of six terms packs; so do evaluation and the
+        shear's own check."""
+        dense = BiPoly({(i, j): 1 + i + 2 * j for i in range(6) for j in range(6 - i)})
+        sub = Substitution(dense, dense * 3 - X)
+        assert sub._packs(X + 2 * Y - 1) is None
+        assert sub._packs(X**2 + X * Y + Y**2 + X + 2 * Y - 1)
+        assert Substitution(Fraction(1, 2), Fraction(3))._packs(dense) is None
+        assert Substitution(X + Y**2, Y)._packs(X - Y**2) is None
+
+    def test_sparse_high_degree_stays_on_term_pairs(self):
+        """A grid of about 10^12 cells is never packed: the rule says no
+        before the substitution does any work, and the term pairs finish
+        within the budget."""
+        u, v = X**1000000, Y**1000000
+        dense_p = X**2 * Y + X * Y**2 + X**2 + Y**2 + X * Y
+        cases = ((u, v, X + Y), (u + Y + 1, v + X + 1, dense_p))
+        for u, v, p in cases:
+            assert Substitution(u, v)._packs(p) is None
+        start = time.perf_counter()
+        for u, v, p in cases:
+            assert Substitution(u, v).apply(p) == _power_sum(p, u, v)
+        assert time.perf_counter() - start < 2.0
 
 
 # ---------------------------------------------------------------------------

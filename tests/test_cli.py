@@ -41,6 +41,8 @@ from kellerkit.cli import (
 )
 from kellerkit.tame import AffineFactor
 
+from conftest import DEG4_F, DEG4_G
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 GOLDEN_CASES = [
@@ -52,6 +54,7 @@ GOLDEN_CASES = [
     ("embed_check_cusp_json", ["embed-check", "x^2", "x^3", "--json"]),
     ("rectify_parabola", ["rectify", "x^2", "x"]),
     ("prove_line_shear_json", ["prove-line", "x + y^2", "y", "--line", "0,1,0", "--json"]),
+    ("prove_line_deg4_json", ["prove-line", DEG4_F, DEG4_G, "--line", "1,-1,2", "--json"]),
     ("gen_auto_seed42_json", ["gen-auto", "--seed", "42", "--factors", "4", "--json"]),
 ]
 
