@@ -74,7 +74,7 @@ from typing import Iterable, Union
 
 from .errors import DegenerateResultant, InvalidLine
 from .kronecker import _cross_packed, cell_bytes, pack, unpack
-from .subresultant import _subresultants, _zmul, _zneg, _zquo
+from .subresultant import _resultant, _subresultants, _zmul, _zquo
 
 Coeff = Union[int, Fraction]
 
@@ -442,12 +442,12 @@ class UniPoly(_SparsePoly):
 def gcd_univariate(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic greatest common divisor over the rationals; gcd(0, 0) = 0.
 
-    p and q, read as polynomials in y, give rows of constants to the
-    subresultant sequence of resultant_y; its last nonzero remainder is
-    an associate of the gcd."""
+    p's and q's numerators, read as polynomials in y, are rows of
+    constants for the subresultant sequence of resultant_y; its last
+    nonzero remainder is an associate of the gcd."""
     if not (p and q):
         return (p or q).monic()
-    f, g = (_rows(w.to_bipoly("y"))[0] for w in (p, q))
+    f, g = ([[w._t[k]] if k in w._t else [] for k in range(w.degree(), -1, -1)] for w in (p, q))
     h, _ = _subresultants(*((f, g) if len(f) >= len(g) else (g, f)))
     return UniPoly._new({len(h) - 1 - i: row[0] for i, row in enumerate(h) if row}).monic()
 
@@ -890,11 +890,16 @@ def restrict_to_line(H: PolyMap, line: Line):
 # Resultants.  A bivariate polynomial p, integer numerators over D, is
 # laid out as rows in y, highest power first; each row is a polynomial in
 # x, a dense list of ints, lowest power first, with no trailing zeros (the
-# zero row is []).  One subresultant remainder sequence (subresultant.py)
-# runs on these rows with plain int arithmetic.  The resultant undoes the
-# scaling once at the end, in one normalization, from
+# zero row is []).  One core on the subresultant sequence,
+# subresultant._resultant, turns two row lists into their resultant with
+# plain int arithmetic.  resultant_y feeds it _rows of its arguments and
+# undoes the scaling once at the end, in one normalization, from
 #
 #     res_y(Dp*p, Dq*q) = Dp^deg_y(q) * Dq^deg_y(p) * res_y(p, q).
+#
+# embedding.is_injective_param feeds it rows sliced off the curve, with
+# no BiPoly, and never divides: vanishing, degree and monic form do not
+# change under a positive scaling.
 # ---------------------------------------------------------------------------
 
 
@@ -928,15 +933,7 @@ def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
     if dp < 1 or dq < 1:
         raise DegenerateResultant("resultant_y needs positive y-degree in both arguments")
     (f, Dp), (g, Dq) = _rows(p), _rows(q)
-    if dp >= dq:
-        h, s = _subresultants(f, g)
-    else:
-        h, s = _subresultants(g, f)
-        if (dp * dq) % 2:
-            s = _zneg(s)
-    if len(h) > 1:
-        return UniPoly.zero()
-    return UniPoly._reduce({i: c for i, c in enumerate(s) if c}, Dp**dq * Dq**dp)
+    return UniPoly._reduce({i: c for i, c in enumerate(_resultant(f, g)) if c}, Dp**dq * Dq**dp)
 
 
 # ---------------------------------------------------------------------------

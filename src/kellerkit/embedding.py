@@ -6,8 +6,10 @@ valid over any extension field, not just the rationals:
 
 * injectivity fails exactly when the difference quotients
   D_p(s, t) = (p(s) - p(t)) / (s - t) and D_q share a zero over the
-  algebraic closure, detected through a resultant (and a bivariate gcd
-  when a witness is needed);
+  algebraic closure, detected through a resultant on integer rows sliced
+  off p's and q's numerators.  Degenerate components are decided from
+  degrees; a BiPoly quotient is built only for a witness (a bivariate
+  gcd for a shared component, or the quotient itself next to a constant);
 * immersion fails exactly when p' and q' share a root, detected through
   a univariate gcd.
 
@@ -31,9 +33,9 @@ from .arith import (
     gcd_bivariate,
     gcd_univariate,
     normalize_leading,
-    resultant_y,
 )
 from .errors import AbhyankarMohViolation, NotAnEmbedding
+from .subresultant import _resultant
 from .tame import (
     AffineFactor,
     ElementaryFactor,
@@ -59,6 +61,13 @@ def difference_quotient(p: UniPoly) -> BiPoly:
     return BiPoly._reduce({(i, k - 1 - i): c for k, c in p._t.items() for i in range(k)}, p._d)
 
 
+def _quotient_rows(p: UniPoly) -> list[list[int]]:
+    """Rows in y of difference_quotient(p) times p's denominator, deg p >= 2:
+    the y^j row is the suffix [n_(j+1), ..., n_d] of p's numerators."""
+    n = [p._t.get(k, 0) for k in range(p.degree() + 1)]
+    return [n[k:] for k in range(len(n) - 1, 0, -1)]
+
+
 @dataclass(frozen=True)
 class Check:
     """Boolean verdict plus a witness polynomial when the answer is no."""
@@ -76,31 +85,32 @@ def is_injective_param(gamma: Parametrization) -> Check:
     genuine common zero, so: resultant a nonzero constant means injective;
     a nonconstant resultant is itself the witness (its roots carry the
     collisions); an identically zero resultant means a shared component,
-    and the bivariate gcd is the witness.
+    and the bivariate gcd is the witness.  The rows are the quotients times
+    positive constants (_quotient_rows), which change none of these answers.
     """
-    dp = difference_quotient(gamma.first)
-    dq = difference_quotient(gamma.second)
-    if dp.is_zero() and dq.is_zero():
+    p, q = gamma.first, gamma.second
+    dp, dq = p.degree(), q.degree()
+    if dp <= 0 and dq <= 0:
         # Both components constant: every parameter pair collides and
         # gcd(0, 0) = 0 is the (degenerate) shared locus.
         return Check(False, BiPoly.zero())
-    if dp.is_zero() or dq.is_zero():
+    if dp <= 0 or dq <= 0:
         # One component constant: collisions are exactly the zeros of the
         # other quotient, so injectivity needs that quotient zero-free,
         # i.e. a nonzero constant (the component has degree 1).
-        other = dq if dp.is_zero() else dp
-        if other.is_constant():
+        other = q if dp <= 0 else p
+        if other.degree() == 1:
             return Check(True, None)
-        return Check(False, normalize_leading(other))
-    if dp.is_constant() or dq.is_constant():
+        return Check(False, normalize_leading(difference_quotient(other)))
+    if dp == 1 or dq == 1:
         # A nonzero constant quotient has no zeros at all, shared or not.
         return Check(True, None)
-    res = resultant_y(dp, dq)
-    if res.is_zero():
-        return Check(False, gcd_bivariate(dp, dq))
-    if res.is_constant():
+    res = _resultant(_quotient_rows(p), _quotient_rows(q))
+    if not res:
+        return Check(False, gcd_bivariate(difference_quotient(p), difference_quotient(q)))
+    if len(res) == 1:
         return Check(True, None)
-    return Check(False, res.monic())
+    return Check(False, UniPoly._new({i: c for i, c in enumerate(res) if c}).monic())
 
 
 def is_immersion(gamma: Parametrization) -> Check:

@@ -6,16 +6,22 @@ polynomial in x, a dense list of ints, lowest power first, with no
 trailing zeros (the zero row is []).  The pseudo-remainders of the
 sequence stay in Z[x][y] and every quotient by its recurrence scalars is
 exact in Z[x], so it runs on plain int arithmetic.  arith builds the
-resultant and both gcds on it.
+resultant and both gcds on it, and embedding's injectivity test reads
+its rows straight off the curve into _resultant.
 """
 
 from __future__ import annotations
 
 
 def _zmul(a: list[int], b: list[int]) -> list[int]:
-    """Product in Z[x]; the leading coefficient never cancels."""
+    """Product in Z[x]; the leading coefficient never cancels.  A constant
+    operand, such as the y-leading coefficient of a difference quotient,
+    is one scaling."""
     if not a or not b:
         return []
+    if len(a) == 1 or len(b) == 1:
+        (u,), b = (a, b) if len(a) == 1 else (b, a)
+        return [u * v for v in b]
     out = [0] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         if u:
@@ -109,3 +115,15 @@ def _subresultants(f: list[list[int]], g: list[list[int]]):
         c = _zquo(_zpow(_zneg(lc), d), _zpow(c, d - 1)) if d > 1 else _zneg(lc)
         s = _zneg(c)
     return g, s
+
+
+def _resultant(f: list[list[int]], g: list[list[int]]) -> list[int]:
+    """Resultant in y of rows f and g, both of positive degree in y, with
+    the sign of the Sylvester matrix with f on top; [] when it vanishes."""
+    if len(f) >= len(g):
+        h, s = _subresultants(f, g)
+    else:
+        h, s = _subresultants(g, f)
+        if (len(f) - 1) * (len(g) - 1) % 2:
+            s = _zneg(s)
+    return [] if len(h) > 1 else s

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from kellerkit import (
     AffineFactor,
@@ -24,7 +24,14 @@ from kellerkit import (
     random_tame,
 )
 
-settings.register_profile("suite", deadline=None, max_examples=60)
+# No explain phase: on a failing property it can re-read source for
+# minutes, so a failure would stall the suite instead of failing at once.
+settings.register_profile(
+    "suite",
+    deadline=None,
+    max_examples=60,
+    phases=[p for p in Phase if p.name != "explain"],
+)
 settings.load_profile("suite")
 
 # A degree-4 tame map whose final check substitutes packed, both ways and

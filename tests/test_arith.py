@@ -41,6 +41,7 @@ from kellerkit.arith import (
     normalize_leading,
 )
 from kellerkit.cli import parse_bipoly
+from kellerkit.subresultant import _zcross, _zmul
 
 from conftest import (
     DEG4_F,
@@ -1126,6 +1127,70 @@ class TestResultant:
             if not (p.degree_y() and q.degree_y()):
                 continue
             assert resultant_y(p, q).is_zero()
+
+
+def _random_row(rng, max_len=6, bound=9):
+    """A Z[x] row: lowest power first, no trailing zero, zeros inside."""
+    row = [rng.choice((0, rng.randint(-bound, bound))) for _ in range(rng.randint(0, max_len))]
+    if row:
+        row[-1] = rng.choice((-1, 1)) * rng.randint(1, bound)
+    return row
+
+
+def _naive_product(a, b):
+    """a*b in Z[x], coefficient by coefficient from the Cauchy sum."""
+    n = len(a) + len(b) - 1
+    return _strip([sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+                   for k in range(n)])
+
+
+def _naive_sum(a, b):
+    n = max(len(a), len(b))
+    return _strip([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)])
+
+
+def _strip(row):
+    while row and not row[-1]:
+        row.pop()
+    return row
+
+
+class TestIntegerRowKernels:
+    """The Z[x] kernels of the subresultant sequence against a naive dense
+    product, with [] and length-1 operands on either side."""
+
+    def _pairs(self, rng):
+        edge = [[], [5], [-1], [0, 3], [2, 0, -7]]
+        for a in edge:
+            for b in edge:
+                yield a, b
+        for _ in range(300):
+            a, b = _random_row(rng), _random_row(rng)
+            yield a, b
+            yield [rng.choice((-1, 1)) * rng.randint(1, 2**70)], b
+            yield a, [rng.choice((-1, 1)) * rng.randint(1, 9)]
+
+    def test_product(self, rng):
+        for a, b in self._pairs(rng):
+            assert _zmul(a, b) == _naive_product(a, b)
+
+    def test_cross(self, rng):
+        for a, b in self._pairs(rng):
+            c, e = _random_row(rng), rng.choice(([], [3], _random_row(rng)))
+            want = _naive_sum(_naive_product(a, c), [-u for u in _naive_product(b, e)])
+            assert _zcross(a, c, b, e) == want
+            assert _zcross(a, c, a, c) == []
+
+    def test_quotient(self, rng):
+        for q, b in self._pairs(rng):
+            if not b:
+                continue
+            a = _naive_product(q, b)
+            assert _zquo(a, b) == q
+            r = _random_row(rng, len(b) - 1)
+            if r:  # deg r < deg b, so b does not divide a + r
+                with pytest.raises(ValueError):
+                    _zquo(_naive_sum(a, r), b)
 
 
 class TestGcdBivariate:

@@ -52,6 +52,7 @@ GOLDEN_CASES = [
     ("is_auto_shear_json", ["is-auto", "x + y^2", "y", "--json"]),
     ("invert_swap_cubic", ["invert", "y", "x - y^3"]),
     ("embed_check_cusp_json", ["embed-check", "x^2", "x^3", "--json"]),
+    ("embed_check_node_json", ["embed-check", "x^2 - 1", "x^3 - x", "--json"]),
     ("rectify_parabola", ["rectify", "x^2", "x"]),
     ("prove_line_shear_json", ["prove-line", "x + y^2", "y", "--line", "0,1,0", "--json"]),
     ("prove_line_deg4_json", ["prove-line", DEG4_F, DEG4_G, "--line", "1,-1,2", "--json"]),

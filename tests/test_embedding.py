@@ -18,11 +18,15 @@ from kellerkit import (
     difference_quotient,
     factorization_inverse,
     factorization_to_map,
+    gcd_bivariate,
     is_embedding,
     is_immersion,
     is_injective_param,
     rectify,
+    resultant_y,
 )
+from kellerkit.arith import _rows, normalize_leading
+from kellerkit.embedding import Check, _quotient_rows
 from kellerkit.tame import apply_factors
 
 from conftest import draw_tame_word, injective_oracle, random_fraction, random_unipoly
@@ -148,6 +152,67 @@ class TestInjectivity:
             assert got == injective_oracle(difference_quotient(p), difference_quotient(q))
             verdicts.append(got)
         assert True in verdicts and False in verdicts
+
+
+def _bipoly_route(gamma):
+    """is_injective_param on BiPoly difference quotients: resultant_y, then
+    gcd_bivariate or normalize_leading for the witness."""
+    dp, dq = difference_quotient(gamma.first), difference_quotient(gamma.second)
+    if dp.is_zero() and dq.is_zero():
+        return Check(False, BiPoly.zero())
+    if dp.is_zero() or dq.is_zero():
+        other = dq if dp.is_zero() else dp
+        return Check(True, None) if other.is_constant() else Check(False, normalize_leading(other))
+    if dp.is_constant() or dq.is_constant():
+        return Check(True, None)
+    res = resultant_y(dp, dq)
+    if res.is_zero():
+        return Check(False, gcd_bivariate(dp, dq))
+    if res.is_constant():
+        return Check(True, None)
+    return Check(False, res.monic())
+
+
+class TestRowsFromTheCurve:
+    """The injectivity test on rows sliced off the curve against the same
+    test on BiPoly difference quotients."""
+
+    def _curves(self, rng):
+        def poly(deg):
+            return UniPoly({k: random_fraction(rng) for k in range(deg + 1)})
+
+        for k in range(400):
+            p = poly(rng.randint(0, 6))
+            if k % 4 == 0:  # a shared component: q = s(p) + c*t
+                q = poly(rng.randint(0, 2)).compose(p) + UniPoly({1: rng.choice((0, 0, 1))})
+            elif k % 4 == 1:  # constant or linear components
+                q = poly(rng.randint(0, 1))
+            else:
+                q = poly(rng.randint(0, 6))
+            yield Parametrization(p, q) if k % 2 else Parametrization(q, p)
+        yield Parametrization(UniPoly.zero(), UniPoly.zero())
+        yield Parametrization(UniPoly({3: 1}), UniPoly.zero())
+
+    def test_same_verdict_and_witness(self, rng):
+        kinds = set()
+        for gamma in self._curves(rng):
+            got, want = is_injective_param(gamma), _bipoly_route(gamma)
+            assert got.ok == want.ok
+            assert type(got.witness) is type(want.witness)
+            assert got.witness == want.witness  # the same stored (_d, _t)
+            kinds.add((got.ok, type(got.witness).__name__))
+        assert kinds == {(True, "NoneType"), (False, "UniPoly"), (False, "BiPoly")}
+
+    def test_rows_are_the_quotient_up_to_its_denominator(self, rng):
+        for gamma in self._curves(rng):
+            for p in gamma.first, gamma.second:
+                if p.degree() < 2:
+                    continue
+                rows, d = _rows(difference_quotient(p))
+                sliced = _quotient_rows(p)
+                assert [[c * d for c in row] for row in sliced] == [
+                    [c * p._d for c in row] for row in rows
+                ]
 
 
 class TestImmersion:
