@@ -294,13 +294,7 @@ class _SparsePoly:
         d = lcm(self._d, other._d)
         a, b = d // self._d, sign * (d // other._d)
         data = dict(self._t) if a == 1 else {k: a * v for k, v in self._t.items()}
-        get = data.get
-        for k, v in other._t.items():
-            s = get(k, 0) + b * v
-            if s:
-                data[k] = s
-            else:
-                del data[k]
+        _axpy(data, b, other._t.items())
         return self._reduce(data, d)
 
     def __add__(self, other):
@@ -385,15 +379,8 @@ class UniPoly(_SparsePoly):
                 return self._scale(other)
             return NotImplemented
         out: dict[int, int] = {}
-        get = out.get
         for k1, v1 in self._t.items():
-            for k2, v2 in other._t.items():
-                k = k1 + k2
-                s = get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            _axpy(out, v1, [(k1 + k2, v2) for k2, v2 in other._t.items()])
         return UniPoly._reduce(out, self._d * other._d)
 
     __rmul__ = __mul__

@@ -370,6 +370,28 @@ _COMMANDS = {
 }
 
 
+# Each command's help and its positionals, name -> help (None for none).
+_MAP_ARGS = dict.fromkeys(("first", "second"))
+_SYNTAX = {
+    "jac": ("Jacobian determinant and Keller test", {
+        "first": "first component, a polynomial in x and y", "second": "second component",
+    }),
+    "polygon": ("Newton polygon of a polynomial", {"poly": "a polynomial in x and y"}),
+    "similar": ("Newton polygon similarity test", {
+        "first": "first component, degree > 1", "second": "second component, degree > 1",
+    }),
+    "is-auto": ("recognize a tame automorphism", _MAP_ARGS),
+    "invert": ("invert a tame automorphism", _MAP_ARGS),
+    "embed-check": ("injectivity/immersion of a curve", {
+        "first": "first component, a polynomial in x (the parameter)",
+        "second": "second component",
+    }),
+    "rectify": ("straighten an embedded line", _MAP_ARGS),
+    "prove-line": ("certified inverse of a Keller map injective on a line", _MAP_ARGS),
+    "gen-auto": ("generate a random tame word", {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kellerkit",
@@ -377,48 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
         "tame automorphisms, line embeddings, certified inversion.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def with_json(p):
+    for name, (text, positionals) in _SYNTAX.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        return p
+        for arg, arg_help in positionals.items():
+            p.add_argument(arg, help=arg_help)
 
-    p = with_json(sub.add_parser("jac", help="Jacobian determinant and Keller test"))
-    p.add_argument("first", help="first component, a polynomial in x and y")
-    p.add_argument("second", help="second component")
-
-    p = with_json(sub.add_parser("polygon", help="Newton polygon of a polynomial"))
-    p.add_argument("poly", help="a polynomial in x and y")
-
-    p = with_json(sub.add_parser("similar", help="Newton polygon similarity test"))
-    p.add_argument("first", help="first component, degree > 1")
-    p.add_argument("second", help="second component, degree > 1")
-
-    p = with_json(sub.add_parser("is-auto", help="recognize a tame automorphism"))
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = with_json(sub.add_parser("invert", help="invert a tame automorphism"))
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = with_json(
-        sub.add_parser("embed-check", help="injectivity/immersion of a curve")
-    )
-    p.add_argument("first", help="first component, a polynomial in x (the parameter)")
-    p.add_argument("second", help="second component")
-
-    p = with_json(sub.add_parser("rectify", help="straighten an embedded line"))
-    p.add_argument("first")
-    p.add_argument("second")
-
-    p = with_json(
-        sub.add_parser(
-            "prove-line",
-            help="certified inverse of a Keller map injective on a line",
-        )
-    )
-    p.add_argument("first")
-    p.add_argument("second")
+    p = sub.choices["prove-line"]
     p.add_argument(
         "--line",
         required=True,
@@ -431,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON certificate to PATH and replay it",
     )
 
-    p = with_json(sub.add_parser("gen-auto", help="generate a random tame word"))
+    p = sub.choices["gen-auto"]
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--factors", type=int, required=True)
     p.add_argument("--max-deg", type=int, default=3, help="max elementary shift degree")

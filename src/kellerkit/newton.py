@@ -59,13 +59,9 @@ class Polygon:
 
     def __init__(self, vertices):
         vs = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
-        if not vs:
-            raise ValueError("a polygon needs at least one vertex")
-        if _hull(vs) != vs:
-            raise ValueError("vertices are not in canonical convex position")
+        if _hull(vs + ((0, 0),)) != vs:
+            raise ValueError("vertices are not a canonical convex hull around the origin")
         self._v = vs
-        if not self.contains((0, 0)):
-            raise ValueError("polygon does not contain the origin")
 
     @classmethod
     def _canonical(cls, vertices) -> "Polygon":
@@ -90,23 +86,9 @@ class Polygon:
         return len(self._v) == 2
 
     def contains(self, point) -> bool:
-        """Membership including the boundary."""
-        p = (Fraction(point[0]), Fraction(point[1]))
-        vs = self._v
-        if len(vs) == 1:
-            return p == vs[0]
-        if len(vs) == 2:
-            a, b = vs
-            if _cross(a, b, p) != 0:
-                return False
-            dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
-            length2 = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
-            return 0 <= dot <= length2
-        for i, a in enumerate(vs):
-            b = vs[(i + 1) % len(vs)]
-            if _cross(a, b, p) < 0:
-                return False
-        return True
+        """Membership including the boundary: adding the point leaves the
+        hull unchanged."""
+        return _hull(self._v + ((Fraction(point[0]), Fraction(point[1])),)) == self._v
 
     def __eq__(self, other):
         if isinstance(other, Polygon):

@@ -41,7 +41,7 @@ from .arith import (
     frac_pair,
     is_keller,
 )
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, TheoremViolationWitness
 
 _AXES = ("first", "second")
 
@@ -323,7 +323,8 @@ def decide_automorphism(H: PolyMap):
     """Recognize H as a tame automorphism.
 
     Returns a Factorization whose composition equals H, or a
-    NotAutomorphism value explaining where recognition stopped.
+    NotAutomorphism value explaining where recognition stopped.  A word
+    that fails to recompose to H raises TheoremViolationWitness.
     """
     gate = is_keller(H)
     if not gate.is_keller:
@@ -332,7 +333,8 @@ def decide_automorphism(H: PolyMap):
     if not ok:
         return NotAutomorphism("ReductionFailed", PolyMap(f, g), gate.jacobian)
     word = Factorization(peeled + invert_low_degree(PolyMap(f, g)).factors)
-    assert factorization_to_map(word) == H, "recognized word fails to recompose"
+    if factorization_to_map(word) != H:
+        raise TheoremViolationWitness("recognized word fails to recompose")
     return word
 
 

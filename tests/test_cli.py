@@ -5,6 +5,7 @@ interpreter via ``python -m kellerkit`` and compare bytes, so the files
 pin the exact serialized output across releases.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -67,6 +68,20 @@ def run_module(args):
         timeout=120,
     )
 
+
+# A certified check patched to fail: (module, attribute, replacement source,
+# a command that reaches the check).
+FAILED_CHECKS = [
+    pytest.param("keller", "_cancelling_inverse", "lambda word, H: None",
+                 ["prove-line", "x + y^2", "y", "--line", "0,1,0"], id="fixed_axis_final_check"),
+    pytest.param("keller", "apply_factors", "lambda factors, pair: (BiPoly.zero(), BiPoly.zero())",
+                 ["prove-line", "x + y^2", "y", "--line", "0,1,0"], id="axis_fixed"),
+    pytest.param("keller", "verified_inverse", "lambda word, H: None",
+                 ["prove-line", "x + y^2", "y", "--line", "0,1,0", "--json"],
+                 id="prove_line_final_check"),
+    pytest.param("tame", "factorization_to_map", "lambda word: PolyMap.identity()",
+                 ["is-auto", "x + y^2", "y"], id="recompose"),
+]
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -516,6 +531,11 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 3
         capsys.readouterr()
 
+    def test_every_command_has_a_parser(self):
+        actions = cli.build_parser()._actions
+        sub = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli._COMMANDS)
+
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "kellerkit" in capsys.readouterr().out
@@ -527,6 +547,14 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "jac", boom)
         assert main(["jac", "x", "y"]) == 4
         assert "internal contradiction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module,attr,fake,argv", FAILED_CHECKS)
+    def test_failed_certified_check_is_four(self, capsys, monkeypatch, module, attr, fake, argv):
+        monkeypatch.setattr("kellerkit.%s.%s" % (module, attr), eval(fake))
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("internal contradiction: ")
 
     def test_abhyankar_moh_is_four(self, capsys, monkeypatch):
         def boom(args):
@@ -680,6 +708,21 @@ class TestSubprocess:
             os.close(write_end)
         assert proc.returncode == 3
         assert proc.stdout in (None, b"")
+
+    @pytest.mark.parametrize("module,attr,fake,argv", FAILED_CHECKS)
+    def test_failed_certified_check_under_optimize(self, module, attr, fake, argv):
+        # python -O strips assert statements; the checks must still refuse.
+        script = "\n".join([
+            "import importlib, sys",
+            "from kellerkit import BiPoly, PolyMap, cli",
+            "setattr(importlib.import_module('kellerkit.%s'), %r, %s)" % (module, attr, fake),
+            "sys.exit(cli.main(%r))" % (argv,),
+        ])
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, timeout=120)
+        assert proc.returncode == 4, proc.stderr.decode()
+        assert proc.stdout == b""
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal contradiction: ")
 
     @pytest.mark.parametrize("name,args", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
     def test_golden(self, name, args):

@@ -16,6 +16,7 @@ from kellerkit import (
     Line,
     PolyMap,
     PreconditionViolated,
+    TheoremViolationWitness,
     UniPoly,
     compose_map,
     factorization_inverse,
@@ -25,6 +26,7 @@ from kellerkit import (
     prove_line,
     verify_certificate,
 )
+from kellerkit import keller
 from kellerkit.keller import (
     AxisFixed,
     DegreeCollapse,
@@ -386,3 +388,23 @@ class TestProveLine:
         assert compose_map(
             factorization_to_map(inv_word), factorization_to_map(word)
         ).is_identity()
+
+
+class TestFailedCertifiedCheck:
+    """A certified check that fails raises TheoremViolationWitness, not an
+    AssertionError that python -O would strip."""
+
+    @pytest.mark.parametrize("attr,fake,message", [
+        ("_cancelling_inverse", lambda word, H: None, "inverse word failed"),
+        ("apply_factors", lambda factors, pair: (BiPoly.zero(), BiPoly.zero()), "fix the first axis"),
+        ("verified_inverse", lambda word, H: None, "assembled inverse failed"),
+    ], ids=["fixed_axis_final_check", "axis_fixed", "prove_line_final_check"])
+    def test_prove_line(self, monkeypatch, attr, fake, message):
+        monkeypatch.setattr(keller, attr, fake)
+        with pytest.raises(TheoremViolationWitness, match=message):
+            prove_line(shear(), Line(0, 1, 0))
+
+    def test_fixed_axis_invert(self, monkeypatch):
+        monkeypatch.setattr(keller, "_cancelling_inverse", lambda word, H: None)
+        with pytest.raises(TheoremViolationWitness, match="inverse word failed"):
+            fixed_axis_invert(PolyMap(x() + y() ** 3, 2 * y()))

@@ -146,6 +146,108 @@ class TestPolygon:
         }
 
 
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def contains_by_cases(vs, point) -> bool:
+    """Membership of point in the canonical hull vs by cases of cross and
+    dot products: a point, a segment, or a polygon with every edge turning
+    left.  The oracle for Polygon.contains."""
+    p = (Fraction(point[0]), Fraction(point[1]))
+    if len(vs) == 1:
+        return p == vs[0]
+    if len(vs) == 2:
+        a, b = vs
+        if _cross(a, b, p) != 0:
+            return False
+        dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
+        return 0 <= dot <= (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+    return all(_cross(a, vs[(i + 1) % len(vs)], p) >= 0 for i, a in enumerate(vs))
+
+
+def _random_polygons(rng, count):
+    """Newton polygons of random supports (points, segments and polygons),
+    hulls of random rational points around the origin, and dilations of
+    both by random positive rationals."""
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 0:
+            support = set()  # the origin alone
+        elif kind == 1:
+            step = (rng.randint(0, 3), rng.randint(0, 3))
+            support = {(k * step[0], k * step[1]) for k in rng.sample(range(1, 5), rng.randint(1, 3))}
+        else:
+            support = {(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(1, 8))}
+        poly = newton_polygon(BiPoly({k: 1 for k in support}))
+        if kind == 3:
+            poly = Polygon.from_points(
+                [(0, 0)] + [(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                             Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                            for _ in range(rng.randint(1, 6))]
+            )
+        if rng.random() < 0.4:
+            poly = scale_polygon(poly, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        yield poly
+
+
+def _probe_points(rng, vs):
+    """Vertices, edge midpoints, interior points and exterior points of vs."""
+    n = len(vs)
+    centroid = (sum(v[0] for v in vs) / n, sum(v[1] for v in vs) / n)
+    points = list(vs) + [centroid]
+    for i, a in enumerate(vs):
+        b = vs[(i + 1) % n]
+        points.append(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
+        # Just outside a vertex, and a point between the vertex and the centroid.
+        t = Fraction(1, rng.randint(2, 50))
+        points.append((a[0] + t * (a[0] - centroid[0]) + t, a[1] + t * (a[1] - centroid[1])))
+        points.append((a[0] + t * (centroid[0] - a[0]), a[1] + t * (centroid[1] - a[1])))
+    for _ in range(6):
+        points.append((Fraction(rng.randint(-40, 40), rng.randint(1, 6)),
+                       Fraction(rng.randint(-40, 40), rng.randint(1, 6))))
+    return points
+
+
+class TestHullMembership:
+    """Polygon.contains (the hull is unchanged by the point) against the
+    case analysis of contains_by_cases."""
+
+    def test_contains_matches_the_case_analysis(self):
+        rng = random.Random(15)
+        seen = {True: 0, False: 0}
+        for poly in _random_polygons(rng, 300):
+            for p in _probe_points(rng, poly.vertices):
+                want = contains_by_cases(poly.vertices, p)
+                assert poly.contains(p) is want, (poly, p)
+                seen[want] += 1
+        assert min(seen.values()) > 1000
+
+    def test_constructor_matches_the_case_analysis(self):
+        rng = random.Random(16)
+        for poly in _random_polygons(rng, 300):
+            vs = poly.vertices
+            assert Polygon(vs) == poly
+            if len(vs) >= 2:
+                with pytest.raises(ValueError):
+                    Polygon(vs[1:] + vs[:1])  # not from the smallest vertex
+                a, b = vs[0], vs[1]
+                with pytest.raises(ValueError):
+                    Polygon((a, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)) + vs[1:])
+            if len(vs) >= 3:
+                with pytest.raises(ValueError):
+                    Polygon(vs[:1] + vs[:0:-1])  # clockwise
+            # A translate stays canonical; it is a Polygon exactly when it
+            # still contains the origin.
+            dx, dy = Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(-6, 6)
+            shifted = tuple((x + dx, y + dy) for x, y in vs)
+            if contains_by_cases(shifted, (0, 0)):
+                assert Polygon(shifted).vertices == shifted
+            else:
+                with pytest.raises(ValueError):
+                    Polygon(shifted)
+
+
 class TestScale:
     def test_known(self):
         tri = Polygon([(0, 0), (1, 0), (0, 2)])

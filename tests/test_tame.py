@@ -13,6 +13,7 @@ from kellerkit import (
     NotAutomorphism,
     PolyMap,
     PreconditionViolated,
+    TheoremViolationWitness,
     UniPoly,
     compose_map,
     decide_automorphism,
@@ -21,6 +22,7 @@ from kellerkit import (
     invert_low_degree,
     random_tame,
 )
+from kellerkit import tame
 from kellerkit.tame import _peel, apply_factors
 
 from conftest import draw_tame_word, random_bipoly, random_unipoly
@@ -391,6 +393,11 @@ class TestDecideAutomorphism:
     def test_render(self):
         result = decide_automorphism(PolyMap(x() ** 2, y()))
         assert "JacobianNotConstant" in result.render()
+
+    def test_word_that_fails_to_recompose(self, monkeypatch):
+        monkeypatch.setattr(tame, "factorization_to_map", lambda word: PolyMap.identity())
+        with pytest.raises(TheoremViolationWitness, match="fails to recompose"):
+            decide_automorphism(PolyMap(x() + y() ** 2, y()))
 
 
 class TestPeel:
