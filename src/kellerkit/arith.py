@@ -22,8 +22,8 @@ composes maps and evaluates a BiPoly at a point, sums p's rows over
 cached powers of u's numerators and runs Horner's rule in v's
 numerators, on term pairs through _convolve or packed (see
 Substitution).  The subresultant sequence behind resultant_y,
-gcd_bivariate and gcd_univariate runs on integer coefficient rows (see
-subresultant.py).  An affine image
+gcd_bivariate and gcd_univariate runs on Python ints, each row in y
+packed at x = 2^B (see subresultant.py).  An affine image
 a*p + b*q + e sums p's and q's numerators over one shared denominator.
 
 jacobian_det, the Keller gate, is one integer kernel with no
@@ -73,8 +73,8 @@ from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import DegenerateResultant, InvalidLine
-from .kronecker import _cross_packed, cell_bytes, pack, unpack
-from .subresultant import _resultant, _subresultants, _zmul, _zquo
+from .kronecker import _cross_packed, cell_bytes, digits, pack, unpack
+from .subresultant import _last_remainder, _pack_rows, _resultant, _subresultants, _zquo
 
 Coeff = Union[int, Fraction]
 
@@ -409,7 +409,12 @@ class UniPoly(_SparsePoly):
         return UniPoly._reduce({k - 1: k * v for k, v in self._t.items() if k > 0}, self._d)
 
     def monic(self) -> "UniPoly":
-        return self._scale(Fraction(self._d, self._t[max(self._t)])) if self else self
+        """self over its leading coefficient: the numerators over the
+        leading numerator, whatever _d."""
+        if not self:
+            return self
+        lc = self._t[max(self._t)]
+        return self._reduce(self._t if lc > 0 else {k: -v for k, v in self._t.items()}, abs(lc))
 
     def compose(self, other: "UniPoly") -> "UniPoly":
         return _horner(self.terms(), other, UniPoly.zero())
@@ -430,13 +435,13 @@ def gcd_univariate(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic greatest common divisor over the rationals; gcd(0, 0) = 0.
 
     p's and q's numerators, read as polynomials in y, are rows of
-    constants for the subresultant sequence of resultant_y; its last
-    nonzero remainder is an associate of the gcd."""
+    constants, ints already, for the subresultant sequence of
+    resultant_y; its last nonzero remainder is an associate of the gcd."""
     if not (p and q):
         return (p or q).monic()
-    f, g = ([[w._t[k]] if k in w._t else [] for k in range(w.degree(), -1, -1)] for w in (p, q))
-    h, _ = _subresultants(*((f, g) if len(f) >= len(g) else (g, f)))
-    return UniPoly._new({len(h) - 1 - i: row[0] for i, row in enumerate(h) if row}).monic()
+    f, g = ([w._t.get(k, 0) for k in range(w.degree(), -1, -1)] for w in (p, q))
+    h, _ = _subresultants(f, g)
+    return UniPoly._new({len(h) - 1 - i: c for i, c in enumerate(h) if c}).monic()
 
 
 def _convolve(a, b) -> dict:
@@ -591,11 +596,16 @@ def _affine_image(pair, rows) -> tuple:
     return tuple(out)
 
 
-def _power(powers: list, e: int, mul):
-    """powers[e]: a list of the powers of powers[1], from powers[0] = 1,
-    extended one product mul(a, b) at a time."""
-    while len(powers) <= e:
-        powers.append(mul(powers[-1], powers[1]))
+def _power(powers: dict, e: int, mul):
+    """powers[e], from a cache of powers of powers[1] holding powers[0] = 1:
+    one product mul(a, b) from powers[e - 1] when cached, so exponents in
+    rising order cost one each; else by squaring, caching O(log e) powers."""
+    if e not in powers:
+        if e - 1 in powers:
+            powers[e] = mul(powers[e - 1], powers[1])
+        else:
+            half = _power(powers, e // 2, mul)
+            powers[e] = mul(half, half) if e % 2 == 0 else mul(mul(half, half), powers[1])
     return powers[e]
 
 
@@ -651,25 +661,24 @@ class Substitution:
         self._ring = _ring(u, v)
         (u, self._du), (v, self._dv) = _bivariate(u), _bivariate(v)
         self._u, self._v = u, v
-        self._upow = [{(0, 0): 1}, u]
-        self._vpow = [{(0, 0): 1}, v]
+        self._upow = {0: {(0, 0): 1}, 1: u}
+        self._vpow = {0: {(0, 0): 1}, 1: v}
         self._uv_degrees = None  # of U and of V, once the size rule needs them
         self._cells = (0, 0)  # nb and W of the packed powers _pu and _pv
 
     def apply(self, p: BiPoly):
         """p(u, v), in the ring of u and v."""
         rows: dict[int, list] = {}
-        dx = 0
         for (i, j), n in p._t.items():
             rows.setdefault(j, []).append((i, n))
-            dx = max(dx, i)
+        xs = sorted({i for i, _ in p._t})  # the powers of U that p uses
         ys = sorted(rows, reverse=True)
-        dy = ys[0] if ys else 0
+        dx, dy = (xs[-1], ys[0]) if ys else (0, 0)
         width = self._packs(p)
         if width:
-            acc = self._packed(rows, ys, dx, dy, width)
+            acc = self._packed(rows, xs, ys, dx, dy, width)
         else:
-            acc = self._pairs(rows, ys, dx, dy)
+            acc = self._pairs(rows, xs, ys, dx, dy)
         return _in_ring(self._ring, acc, p._d * self._du**dx * self._dv**dy)
 
     def _packs(self, p: BiPoly):
@@ -685,8 +694,9 @@ class Substitution:
         r = 1 + max(i * uy + j * vy for i, j in t)
         return w if w * r + 2 * (m + n) <= m * n else None
 
-    def _pairs(self, rows, ys, dx, dy) -> dict:
-        _power(self._upow, dx, _dict_mul)
+    def _pairs(self, rows, xs, ys, dx, dy) -> dict:
+        for i in xs:
+            _power(self._upow, i, _dict_mul)
         du, dv = self._du, self._dv
         acc: dict[tuple[int, int], int] = {}
         for j, below in zip(ys, ys[1:] + [0]):
@@ -697,7 +707,7 @@ class Substitution:
                 acc = _convolve(acc.items(), _power(self._vpow, j - below, _dict_mul).items())
         return acc
 
-    def _packed(self, rows, ys, dx, dy, width) -> dict:
+    def _packed(self, rows, xs, ys, dx, dy, width) -> dict:
         du, dv = self._du, self._dv
         nu, nv = (sum(map(abs, w.values())) for w in (self._u, self._v))
         bound = sum(abs(n) * (du ** (dx - i) * nu**i) * (dv ** (dy - j) * nv**j)
@@ -705,9 +715,10 @@ class Substitution:
         cells = (max(cell_bytes(max(bound, nu, nv)), self._cells[0]), max(width, self._cells[1]))
         if cells != self._cells:
             self._cells = cells
-            self._pu, self._pv = ([1, pack(w.items(), *cells)] for w in (self._u, self._v))
+            self._pu, self._pv = ({0: 1, 1: pack(w.items(), *cells)} for w in (self._u, self._v))
         pu = self._pu
-        _power(pu, dx, int.__mul__)
+        for i in xs:
+            _power(pu, i, int.__mul__)
         acc = 0
         for j, below in zip(ys, ys[1:] + [0]):
             scale = dv ** (dy - j)
@@ -875,18 +886,16 @@ def restrict_to_line(H: PolyMap, line: Line):
 
 # ---------------------------------------------------------------------------
 # Resultants.  A bivariate polynomial p, integer numerators over D, is
-# laid out as rows in y, highest power first; each row is a polynomial in
-# x, a dense list of ints, lowest power first, with no trailing zeros (the
-# zero row is []).  One core on the subresultant sequence,
-# subresultant._resultant, turns two row lists into their resultant with
-# plain int arithmetic.  resultant_y feeds it _rows of its arguments and
-# undoes the scaling once at the end, in one normalization, from
+# laid out as rows in y, highest power first, each a dense list of ints in
+# x, lowest power first, with no trailing zeros.  subresultant._resultant
+# takes them packed into ints (_pack_rows) and returns the packed
+# resultant; resultant_y unpacks it and undoes the scaling once, from
 #
 #     res_y(Dp*p, Dq*q) = Dp^deg_y(q) * Dq^deg_y(p) * res_y(p, q).
 #
-# embedding.is_injective_param feeds it rows sliced off the curve, with
-# no BiPoly, and never divides: vanishing, degree and monic form do not
-# change under a positive scaling.
+# embedding.is_injective_param packs rows straight off the curve and never
+# divides: vanishing, degree and monic form do not change under a positive
+# scaling.
 # ---------------------------------------------------------------------------
 
 
@@ -903,13 +912,6 @@ def _rows(p: BiPoly) -> tuple[list[list[int]], int]:
     return rows, p._d
 
 
-def _from_rows(rows: list[list[int]]) -> BiPoly:
-    d = len(rows) - 1
-    return BiPoly._new(
-        {(i, d - idx): c for idx, row in enumerate(rows) for i, c in enumerate(row) if c}
-    )
-
-
 def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
     """Resultant of p and q with respect to y, a polynomial in x.
 
@@ -920,7 +922,8 @@ def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
     if dp < 1 or dq < 1:
         raise DegenerateResultant("resultant_y needs positive y-degree in both arguments")
     (f, Dp), (g, Dq) = _rows(p), _rows(q)
-    return UniPoly._reduce({i: c for i, c in enumerate(_resultant(f, g)) if c}, Dp**dq * Dq**dp)
+    F, G, cells = _pack_rows(f, g)
+    return UniPoly._reduce(digits(_resultant(F, G, cells), cells[1]), Dp**dq * Dq**dp)
 
 
 # ---------------------------------------------------------------------------
@@ -928,16 +931,10 @@ def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
 # witnesses when a resultant vanishes identically.  The last nonzero
 # remainder of any remainder sequence is an associate of the gcd over
 # Q(x), so its primitive part times the gcd of the contents is the gcd.
-# Contents are taken over Q[x] by gcd_univariate and scaled to primitive
-# integer polynomials, which by Gauss's lemma divide the rows in Z[x].
+# Contents are taken over Q[x] by gcd_univariate, monic, so their
+# numerators are primitive (their gcd divides the leading one, the
+# denominator) and by Gauss's lemma divide the rows in Z[x].
 # ---------------------------------------------------------------------------
-
-
-def _zprimitive(u: UniPoly) -> list[int]:
-    """The primitive integer polynomial that is a positive multiple of u."""
-    row = [u._t.get(i, 0) for i in range(u.degree() + 1)]
-    g = gcd(*row)
-    return [n // g for n in row]
 
 
 def _primitive(f: list[list[int]]) -> tuple[UniPoly, list[list[int]]]:
@@ -947,7 +944,7 @@ def _primitive(f: list[list[int]]) -> tuple[UniPoly, list[list[int]]]:
         c = gcd_univariate(c, UniPoly._new({i: n for i, n in enumerate(row) if n}))
         if c.is_constant() and not c.is_zero():
             return c, f
-    z = _zprimitive(c)
+    z = [c._t.get(i, 0) for i in range(c.degree() + 1)]
     return c, [_zquo(row, z) for row in f]
 
 
@@ -964,7 +961,8 @@ def gcd_bivariate(a: BiPoly, b: BiPoly) -> BiPoly:
         return normalize_leading(a)
     ca, pa = _primitive(_rows(a)[0])
     cb, pb = _primitive(_rows(b)[0])
-    cg = _zprimitive(gcd_univariate(ca, cb))
-    h, _ = _subresultants(*((pa, pb) if len(pa) >= len(pb) else (pb, pa)))
-    _, h = _primitive(h)
-    return normalize_leading(_from_rows([_zmul(row, cg) for row in h]))
+    _, h = _primitive(_last_remainder(pa, pb))
+    k = len(h) - 1
+    h = BiPoly._new({(i, k - j): n for j, row in enumerate(h) for i, n in enumerate(row) if n})
+    c = gcd_univariate(ca, cb)
+    return normalize_leading(h * c.to_bipoly() if c.degree() else h)

@@ -6,8 +6,9 @@ valid over any extension field, not just the rationals:
 
 * injectivity fails exactly when the difference quotients
   D_p(s, t) = (p(s) - p(t)) / (s - t) and D_q share a zero over the
-  algebraic closure, detected through a resultant on integer rows sliced
-  off p's and q's numerators.  Degenerate components are decided from
+  algebraic closure, detected through a resultant on rows in y packed
+  into ints straight off p's and q's numerators (subresultant.py), with
+  one unpack at the end.  Degenerate components are decided from
   degrees; a BiPoly quotient is built only for a witness (a bivariate
   gcd for a shared component, or the quotient itself next to a constant);
 * immersion fails exactly when p' and q' share a root, detected through
@@ -24,6 +25,7 @@ being silently assumed away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .arith import (
     BiPoly,
@@ -35,7 +37,8 @@ from .arith import (
     normalize_leading,
 )
 from .errors import AbhyankarMohViolation, NotAnEmbedding
-from .subresultant import _resultant
+from .kronecker import digits
+from .subresultant import _cells, _resultant
 from .tame import (
     AffineFactor,
     ElementaryFactor,
@@ -61,11 +64,15 @@ def difference_quotient(p: UniPoly) -> BiPoly:
     return BiPoly._reduce({(i, k - 1 - i): c for k, c in p._t.items() for i in range(k)}, p._d)
 
 
-def _quotient_rows(p: UniPoly) -> list[list[int]]:
-    """Rows in y of difference_quotient(p) times p's denominator, deg p >= 2:
-    the y^j row is the suffix [n_(j+1), ..., n_d] of p's numerators."""
-    n = [p._t.get(k, 0) for k in range(p.degree() + 1)]
-    return [n[k:] for k in range(len(n) - 1, 0, -1)]
+def _quotient_rows(n: list[int], bits: int) -> list[int]:
+    """Rows in y of difference_quotient(p) times p's denominator, d >= 2,
+    packed at x = 2^bits, highest first, from p's numerators n_0, ..., n_d.
+    The y^j row is the suffix n_(j+1), ..., n_d (its 1-norm a suffix sum of
+    |n_k|), so P_(d-1) = n_d and P_(j-1) = P_j * 2^bits + n_j."""
+    rows = [n[-1]]
+    for c in n[-2:0:-1]:
+        rows.append((rows[-1] << bits) + c)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -105,12 +112,15 @@ def is_injective_param(gamma: Parametrization) -> Check:
     if dp == 1 or dq == 1:
         # A nonzero constant quotient has no zeros at all, shared or not.
         return Check(True, None)
-    res = _resultant(_quotient_rows(p), _quotient_rows(q))
+    n = [[w._t.get(k, 0) for k in range(d + 1)] for w, d in ((p, dp), (q, dq))]
+    cells = _cells(*[list(accumulate(map(abs, c[:0:-1]))) for c in n])
+    res = _resultant(*[_quotient_rows(c, 8 * cells[0]) for c in n], cells)
     if not res:
         return Check(False, gcd_bivariate(difference_quotient(p), difference_quotient(q)))
-    if len(res) == 1:
+    res = digits(res, cells[1])
+    if res.keys() == {0}:
         return Check(True, None)
-    return Check(False, UniPoly._new({i: c for i, c in enumerate(res) if c}).monic())
+    return Check(False, UniPoly._new(res).monic())
 
 
 def is_immersion(gamma: Parametrization) -> Check:

@@ -9,7 +9,8 @@ are the balanced base-2^B digits of its int.  B is a whole number of
 bytes, nb, so packing and unpacking copy bytes, in time linear in the
 number of cells.  arith packs the Jacobian's cross product
 (_cross_packed, here) and substitutions whose result cancels to few
-terms, so unpacking reads few digits.
+terms, so unpacking reads few digits.  subresultant.py packs rows in y
+at x = 2^B alone, so resultants and gcds run on ints, read by digits.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ def pack(terms, nb: int, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def unpack(packed: int, nb: int, width: int) -> dict:
-    """The terms of a packed polynomial, by key (i, j), free of zeros.
+def digits(packed: int, nb: int) -> dict[int, int]:
+    """The balanced base-2^(8*nb) digits of packed by position k, free of
+    zeros: the coefficients of a packed polynomial in x alone.
 
     Adding 2^(B-1) to each balanced digit makes it a plain base-2^B digit,
     so one addition and one byte copy expose them all.  Only the digits up
@@ -49,13 +51,17 @@ def unpack(packed: int, nb: int, width: int) -> dict:
     half = 1 << (bits - 1)
     zero = half.to_bytes(nb, "little")
     raw = (packed + int.from_bytes(zero * ndig, "little")).to_bytes(nb * ndig, "little")
-    out: dict[tuple[int, int], int] = {}
+    out: dict[int, int] = {}
     for k in range(ndig):
         cell = raw[nb * k : nb * (k + 1)]
         if cell != zero:
-            j, i = divmod(k, width)
-            out[(i, j)] = int.from_bytes(cell, "little") - half
+            out[k] = int.from_bytes(cell, "little") - half
     return out
+
+
+def unpack(packed: int, nb: int, width: int) -> dict:
+    """The terms of a packed polynomial, by key (i, j), free of zeros."""
+    return {(k % width, k // width): n for k, n in digits(packed, nb).items()}
 
 
 def _cross_packed(a, b, width: int) -> dict:

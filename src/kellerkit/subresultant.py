@@ -1,57 +1,30 @@
-"""Polynomials in Z[x][y] as integer coefficient rows, and the
-subresultant remainder sequence on them (Collins, J. ACM 18, 1971).
+"""The subresultant remainder sequence (Collins, J. ACM 18, 1971) on
+polynomials in Z[x][y] whose rows in y, highest first, are each packed
+into one int at x = X = 2^(8*nb) (kronecker.py).  x -> X is a ring map
+Z[x] -> Z and every division of the sequence is exact, so it runs on
+CPython ints; callers pack their rows and unpack only the output.
 
-A polynomial is a list of rows in y, highest power first; each row is a
-polynomial in x, a dense list of ints, lowest power first, with no
-trailing zeros (the zero row is []).  The pseudo-remainders of the
-sequence stay in Z[x][y] and every quotient by its recurrence scalars is
-exact in Z[x], so it runs on plain int arithmetic.  arith builds the
-resultant and both gcds on it, and embedding's injectivity test reads
-its rows straight off the curve into _resultant.
+The zero tests are preserved.  Control flow tests leading coefficients,
+and remainders after their division by beta, for zero.  These and the
+output are coefficients of subresultants S_j of f and g, deg_y m >= n:
+minors of the Sylvester matrix on n - j rows of f and m - j of g.  By
+Goldstein and Graham (SIAM Review 16, 1974) their coefficients are at
+most M_j, M_j^2 = sf^(n-j) * sg^(m-j), sf and sg the sums of the squared
+1-norms of f's and g's rows, and M_j <= M_0.  In cells of
+cell_bytes(isqrt(M_0^2) + 1) bytes a nonzero one never packs to 0 and
+unpacks exactly; a remainder before its division may exceed the bound
+and is never tested.  A long first pseudo-division (m - n >= 2) runs at
+the smaller cells of M_(n-1), the bound on its output, which moves with
+g to M_0's cells after it.  gcd_univariate's rows are constants, ints
+already; _zquo, on dense Z[x] lists, serves gcd_bivariate's content step.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+from operator import mul
 
-def _zmul(a: list[int], b: list[int]) -> list[int]:
-    """Product in Z[x]; the leading coefficient never cancels.  A constant
-    operand, such as the y-leading coefficient of a difference quotient,
-    is one scaling."""
-    if not a or not b:
-        return []
-    if len(a) == 1 or len(b) == 1:
-        (u,), b = (a, b) if len(a) == 1 else (b, a)
-        return [u * v for v in b]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b, i):
-                out[j] += u * v
-    return out
-
-
-def _zpow(a: list[int], e: int) -> list[int]:
-    out = [1]
-    for _ in range(e):
-        out = _zmul(out, a)
-    return out
-
-
-def _zneg(a: list[int]) -> list[int]:
-    return [-u for u in a]
-
-
-def _zcross(a: list[int], c: list[int], b: list[int], e: list[int]) -> list[int]:
-    """a*c - b*e in Z[x], with trailing zeros stripped."""
-    out = _zmul(a, c)
-    be = _zmul(b, e)
-    if len(out) < len(be):
-        out += [0] * (len(be) - len(out))
-    for k, v in enumerate(be):
-        out[k] -= v
-    while out and not out[-1]:
-        out.pop()
-    return out
+from .kronecker import cell_bytes, digits
 
 
 def _zquo(a: list[int], b: list[int]) -> list[int]:
@@ -73,57 +46,90 @@ def _zquo(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def _prem(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
-    """Pseudo-remainder of rows: lc(g)^(deg f - deg g + 1) * f modulo g."""
-    dg = len(g) - 1
-    lc_g = g[0]
+def _cells(f_norms: list[int], g_norms: list[int]) -> tuple[int, int]:
+    """(first, last): nb for the sequence of f and g, in either order, from
+    the 1-norms of their rows: last holds M_0 and a sign bit, first M_(n-1)
+    when the first pseudo-division is long, else M_0 too."""
+    if len(f_norms) < len(g_norms):
+        f_norms, g_norms = g_norms, f_norms
+    m, n = len(f_norms) - 1, len(g_norms) - 1
+    sf, sg = sum(map(mul, f_norms, f_norms)), sum(map(mul, g_norms, g_norms))
+    last = cell_bytes(isqrt(sf**n * sg**m) + 1)
+    return (cell_bytes(isqrt(sf * sg ** (m - n + 1)) + 1) if m - n > 1 else last), last
+
+
+def _pack(terms, nb: int) -> int:
+    """The int of a row's terms (k, n) at x = 2^(8*nb), by shifts: a row
+    has few cells, where shifts beat kronecker.pack's byte copy."""
+    return sum(n << (8 * nb * k) for k, n in terms)
+
+
+def _pack_rows(f: list[list[int]], g: list[list[int]]):
+    """(F, G, cells): dense Z[x] rows f and g packed at _cells' first."""
+    cells = _cells(*[[sum(map(abs, row)) for row in w] for w in (f, g)])
+    F, G = ([_pack(enumerate(row), cells[0]) for row in w] for w in (f, g))
+    return F, G, cells
+
+
+def _prem(f: list[int], g: list[int]) -> list[int]:
+    """lc(g)^(deg f - deg g + 1) * f modulo g, in deg f - deg g + 1 steps
+    r <- lc(g)*r - lead(r)*g, each one pass that drops the top row, with no
+    zero test; leading zeros are kept."""
+    lc, n = g[0], len(f) - len(g)
+    tail = g[1:] + [0] * n
     r = f
-    n = len(f) - dg
-    while len(r) > dg:
-        lc_r = r[0]
-        n -= 1
-        r = [_zcross(r[k], lc_g, g[k] if k <= dg else [], lc_r) for k in range(1, len(r))]
-        while r and not r[0]:
-            r = r[1:]
-    if n:
-        scale = _zpow(lc_g, n)
-        r = [_zmul(row, scale) for row in r]
+    for _ in range(n + 1):
+        a = r[0]
+        r = [lc * u - a * v for u, v in zip(r[1:], tail)]
     return r
 
 
-def _subresultants(f: list[list[int]], g: list[list[int]]):
-    """Subresultant remainder sequence of rows f and g, deg f >= deg g >= 0,
-    both nonzero.
+def _subresultants(f: list[int], g: list[int], cells: tuple[int, int] = (0, 0)):
+    """Subresultant remainder sequence of nonzero rows f and g packed at
+    cells[0], in either order; rows of constants keep the default.
 
-    Returns (h, s): the last nonzero remainder and its scalar
-    subresultant, which is the resultant when h has degree 0.
+    Returns (h, s), packed at cells[1]: the last nonzero remainder and,
+    when h has degree 0, the resultant, with the sign of the Sylvester
+    matrix with f on top.
     """
-    m = len(g) - 1
-    d = len(f) - 1 - m
-    h = _prem(f, g)
-    if d % 2 == 0:
-        h = [_zneg(row) for row in h]
-    lc = g[0]
-    s = _zpow(lc, d)
-    c = _zneg(s)
-    while h:
-        k = len(h) - 1
-        f, g, m, d = g, h, k, m - k
-        b = _zneg(_zmul(lc, _zpow(c, d)))
-        h = [_zquo(row, b) for row in _prem(f, g)]
+    sign = -1 if len(f) < len(g) and (len(f) - 1) * (len(g) - 1) % 2 else 1
+    if len(f) < len(g):
+        f, g = g, f
+    d = len(f) - len(g)
+    b, c = (-1) ** (d + 1), -1  # Collins' beta and psi
+    while True:
+        h = []
+        for u in _prem(f, g):
+            q, r = divmod(u, b)
+            if r:
+                raise ValueError("inexact polynomial division")
+            if h or q:
+                h.append(q)
+        if cells[0] != cells[1]:
+            g, h = ([_pack(digits(v, cells[0]).items(), cells[1]) for v in w] for w in (g, h))
+            cells = (cells[1], cells[1])
         lc = g[0]
-        c = _zquo(_zpow(_zneg(lc), d), _zpow(c, d - 1)) if d > 1 else _zneg(lc)
-        s = _zneg(c)
-    return g, s
+        if d:
+            c, r = divmod((-lc) ** d, c ** (d - 1))
+            if r:
+                raise ValueError("inexact polynomial division")
+        if not h:
+            return g, -sign * c
+        f, g, d = g, h, len(g) - len(h)
+        b = -lc * c**d
 
 
-def _resultant(f: list[list[int]], g: list[list[int]]) -> list[int]:
-    """Resultant in y of rows f and g, both of positive degree in y, with
-    the sign of the Sylvester matrix with f on top; [] when it vanishes."""
-    if len(f) >= len(g):
-        h, s = _subresultants(f, g)
-    else:
-        h, s = _subresultants(g, f)
-        if (len(f) - 1) * (len(g) - 1) % 2:
-            s = _zneg(s)
-    return [] if len(h) > 1 else s
+def _resultant(f: list[int], g: list[int], cells: tuple[int, int]) -> int:
+    """Resultant in y of rows f and g packed at _cells' first, both of
+    positive degree in y, packed at its last; 0 when it vanishes."""
+    h, s = _subresultants(f, g, cells)
+    return 0 if len(h) > 1 else s
+
+
+def _last_remainder(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
+    """The last nonzero remainder of the sequence of nonzero dense rows f
+    and g, as dense rows."""
+    F, G, cells = _pack_rows(f, g)
+    h, _ = _subresultants(F, G, cells)
+    rows = [digits(v, cells[1]) for v in h]
+    return [[row.get(i, 0) for i in range(max(row, default=-1) + 1)] for row in rows]

@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from unittest import mock
 
 import pytest
@@ -32,6 +32,7 @@ from kellerkit import (
     restrict_to_line,
     resultant_y,
 )
+from kellerkit import arith, subresultant
 from kellerkit.arith import (
     _cross_packed,
     _cross_sparse,
@@ -41,7 +42,8 @@ from kellerkit.arith import (
     normalize_leading,
 )
 from kellerkit.cli import parse_bipoly
-from kellerkit.subresultant import _zcross, _zmul
+from kellerkit.kronecker import cell_bytes, digits
+from kellerkit.subresultant import _cells, _pack_rows
 
 from conftest import (
     DEG4_F,
@@ -594,6 +596,40 @@ class TestSubstitution:
             got = Substitution(u, v).apply(p)
             assert got == _power_sum(p, u, v)
             _assert_canonical(got)
+
+    def test_power_cache_squares_toward_a_large_exponent(self):
+        calls = []
+
+        def mul(a, b):
+            calls.append(1)
+            return a * b
+
+        powers = {0: 1, 1: 3}
+        assert arith._power(powers, 100000, mul) == 3**100000
+        assert len(calls) <= 34 and len(powers) <= 20
+        calls.clear()
+        powers = {0: 1, 1: 3}
+        assert [arith._power(powers, e, mul) for e in range(10)] == [3**e for e in range(10)]
+        assert len(calls) == 8  # rising exponents: one product each
+
+    def test_sparse_power_takes_few_products(self):
+        """The V side (Horner's gap in y) and the U side of the two
+        substitutions behind is-auto on x + y^100000 and x^100000 + y."""
+        big_y, big_x = BiPoly({(0, 100000): 1}), BiPoly({(100000, 0): 1})
+        cases = [((X + big_y, Y), X - big_y, X), ((X, Y), big_x + Y, big_x + Y)]
+        for (u, v), p, want in cases:
+            with mock.patch.object(arith, "_dict_mul", wraps=arith._dict_mul) as mul:
+                assert Substitution(u, v).apply(p) == want
+            assert mul.call_count <= 40
+
+    def test_dense_powers_take_one_product_each(self):
+        # p uses U^0..U^6 and every gap in y is 1: five products, U^2..U^6.
+        p = BiPoly({(i, 6 - i): i + 1 for i in range(7)})
+        u, v = X + Y, X - 2 * Y
+        with mock.patch.object(Substitution, "_packs", return_value=None), \
+                mock.patch.object(arith, "_dict_mul", wraps=arith._dict_mul) as mul:
+            assert Substitution(u, v).apply(p) == _power_sum(p, u, v)
+        assert mul.call_count == 5
 
     def test_composition_cancels_to_identity(self):
         """A fractional map composed with its inverse, both ways: every
@@ -1156,8 +1192,8 @@ def _strip(row):
 
 
 class TestIntegerRowKernels:
-    """The Z[x] kernels of the subresultant sequence against a naive dense
-    product, with [] and length-1 operands on either side."""
+    """The Z[x] exact quotient of gcd_bivariate's content step against a
+    naive dense product, with [] and length-1 operands on either side."""
 
     def _pairs(self, rng):
         edge = [[], [5], [-1], [0, 3], [2, 0, -7]]
@@ -1170,17 +1206,6 @@ class TestIntegerRowKernels:
             yield [rng.choice((-1, 1)) * rng.randint(1, 2**70)], b
             yield a, [rng.choice((-1, 1)) * rng.randint(1, 9)]
 
-    def test_product(self, rng):
-        for a, b in self._pairs(rng):
-            assert _zmul(a, b) == _naive_product(a, b)
-
-    def test_cross(self, rng):
-        for a, b in self._pairs(rng):
-            c, e = _random_row(rng), rng.choice(([], [3], _random_row(rng)))
-            want = _naive_sum(_naive_product(a, c), [-u for u in _naive_product(b, e)])
-            assert _zcross(a, c, b, e) == want
-            assert _zcross(a, c, a, c) == []
-
     def test_quotient(self, rng):
         for q, b in self._pairs(rng):
             if not b:
@@ -1191,6 +1216,125 @@ class TestIntegerRowKernels:
             if r:  # deg r < deg b, so b does not divide a + r
                 with pytest.raises(ValueError):
                     _zquo(_naive_sum(a, r), b)
+
+
+def _integer_pair_poly(rng, dy, bound=9, dx=3):
+    """A BiPoly of y-degree exactly dy with int coefficients of both signs,
+    whose y-leading coefficient is a polynomial in x (of degree >= 1 when
+    dx >= 1)."""
+    terms = {(i, j): rng.randint(-bound, bound) for i in range(dx + 1) for j in range(dy)
+             if rng.random() < 0.7}
+    for i in range(dx + 1):
+        terms[(i, dy)] = rng.choice((-1, 1)) * rng.randint(1, bound)
+    return BiPoly(terms)
+
+
+def _sylvester_bound_bits(p: BiPoly, q: BiPoly) -> int:
+    """Bit length of isqrt(M^2) + 1, M the Goldstein-Graham bound
+    prod over Sylvester rows of the 2-norm of its entries' 1-norms."""
+    def sum_of_squares(w):
+        return sum(sum(abs(c) for (_, j), c in w.terms() if j == k) ** 2
+                   for k in range(w.degree_y() + 1))
+
+    m2 = sum_of_squares(p) ** q.degree_y() * sum_of_squares(q) ** p.degree_y()
+    return (isqrt(m2) + 1).bit_length()
+
+
+class TestPackedSequence:
+    """The subresultant sequence on rows packed into ints, through
+    resultant_y, gcd_bivariate and gcd_univariate, against the Sylvester
+    cofactor oracle and planted gcds."""
+
+    # Sylvester matrices of size at most 6 keep the cofactor oracle fast;
+    # (4, 1), (5, 1), (1, 5) and (4, 2) have a long first pseudo-division.
+    DEGREES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (3, 3), (4, 1), (5, 1), (1, 5), (4, 2)]
+
+    @pytest.mark.parametrize("dp, dq", DEGREES)
+    def test_resultant_matches_oracle(self, rng, dp, dq):
+        for _ in range(5):
+            p, q = _integer_pair_poly(rng, dp), _integer_pair_poly(rng, dq)
+            assert resultant_y(p, q) == resultant_oracle(p, q)
+
+    def test_long_first_division_uses_two_cell_sizes(self, rng):
+        # The first remainder of y-degrees 4 and 2 is bounded by
+        # M_1^2 = sf * sg^3, below M^2 = sf^2 * sg^4, so it runs at smaller
+        # cells and moves to the larger ones after.
+        for p, q in [(_integer_pair_poly(rng, 4, bound=2**30), _integer_pair_poly(rng, 2))
+                     for _ in range(4)]:
+            for a, b in ((p, q), (q, p)):
+                first, last = _pack_rows(arith._rows(a)[0], arith._rows(b)[0])[2]
+                assert first < last
+                assert resultant_y(a, b) == resultant_oracle(a, b)
+
+    def test_degree_gap_in_the_sequence(self, rng):
+        # f = u*g + r with deg_y r <= deg_y g - 2: the first remainder drops
+        # two degrees, so the sequence is defective.
+        for _ in range(8):
+            g = _integer_pair_poly(rng, 3, dx=2)
+            f = _integer_pair_poly(rng, 1, dx=1) * g + _integer_pair_poly(rng, rng.randint(0, 1))
+            assert resultant_y(f, g) == resultant_oracle(f, g)
+
+    def test_common_factor_gives_zero_and_its_gcd(self, rng):
+        for _ in range(10):
+            g = _integer_pair_poly(rng, rng.randint(1, 2), dx=2)
+            a = g * _integer_pair_poly(rng, rng.randint(1, 3), dx=2)
+            b = g * _integer_pair_poly(rng, rng.randint(0, 2), dx=2)
+            assert resultant_y(a, b).is_zero()
+            assert gcd_bivariate(a, b) == normalize_leading(g)
+            assert gcd_bivariate(b, a) == normalize_leading(g)
+
+    def test_univariate_gcd_of_planted_factors(self, rng):
+        for _ in range(30):
+            p, q, g = (random_unipoly(rng, 5, 2**40) for _ in range(3))
+            if not (p and q and g):
+                continue
+            got = gcd_univariate(p * g, q * g)
+            assert got == _euclid_gcd(p * g, q * g)
+            assert (got % g.monic()).is_zero()
+
+    @pytest.mark.parametrize("residue", [7, 0])
+    def test_bound_at_a_byte_edge(self, rng, residue):
+        """A bound of 8k - 1 bits fills k bytes with its sign bit; one of 8k
+        bits needs a new byte.  Both give the oracle's resultant."""
+        found = 0
+        while found < 3:
+            p = _integer_pair_poly(rng, 2, bound=rng.randint(2, 2**20), dx=2)
+            q = _integer_pair_poly(rng, 1, bound=rng.randint(2, 2**20), dx=2)
+            bits = _sylvester_bound_bits(p, q)
+            if bits % 8 != residue or bits < 16:
+                continue
+            assert _pack_rows(arith._rows(p)[0], arith._rows(q)[0])[2] == ((bits + 8) // 8,) * 2
+            assert resultant_y(p, q) == resultant_oracle(p, q)
+            found += 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    def test_digits_at_the_cell_edge(self, k):
+        top = 2 ** (8 * k - 1)
+        assert cell_bytes(top - 1) == k and cell_bytes(top) == k + 1
+        X = 2 ** (8 * k)
+        for n in (top - 1, 1 - top, -top):
+            assert digits(n + n * X**3, k) == {0: n, 3: n}
+        assert digits(top - 1 - top * X + (1 - top) * X**2, k) == {0: top - 1, 1: -top, 2: 1 - top}
+
+    def test_cells_are_symmetric(self):
+        # The order of f and g does not change the bound.
+        assert _cells([3, 5, 7, 2], [4]) == _cells([4], [3, 5, 7, 2])
+
+    def test_inexact_division_raises(self):
+        # A remainder off by one is no longer divisible by beta = -lc*c^d.
+        p = BiPoly({(0, 3): 2, (1, 2): 3, (0, 1): 5, (2, 0): 7})
+        q = BiPoly({(0, 2): 2, (1, 1): -3, (0, 0): 4})
+        resultant_y(p, q)
+        prem, calls = subresultant._prem, []
+
+        def off_by_one(f, g):
+            calls.append(1)
+            r = prem(f, g)
+            return r if len(calls) == 1 else [u + 1 for u in r]
+
+        with mock.patch.object(subresultant, "_prem", off_by_one):
+            with pytest.raises(ValueError, match="inexact"):
+                resultant_y(p, q)
 
 
 class TestGcdBivariate:

@@ -54,6 +54,9 @@ GOLDEN_CASES = [
     ("invert_swap_cubic", ["invert", "y", "x - y^3"]),
     ("embed_check_cusp_json", ["embed-check", "x^2", "x^3", "--json"]),
     ("embed_check_node_json", ["embed-check", "x^2 - 1", "x^3 - x", "--json"]),
+    # Not injective: the witness is a degree-26 resultant with multi-byte cells.
+    ("embed_check_deg12_json",
+     ["embed-check", "x^12 + 3*x^9 + 3*x^6 + x^3 + x", "x^4 - x^2", "--json"]),
     ("rectify_parabola", ["rectify", "x^2", "x"]),
     ("prove_line_shear_json", ["prove-line", "x + y^2", "y", "--line", "0,1,0", "--json"]),
     ("prove_line_deg4_json", ["prove-line", DEG4_F, DEG4_G, "--line", "1,-1,2", "--json"]),

@@ -27,6 +27,7 @@ from kellerkit import (
 )
 from kellerkit.arith import _rows, normalize_leading
 from kellerkit.embedding import Check, _quotient_rows
+from kellerkit.kronecker import cell_bytes, digits
 from kellerkit.tame import apply_factors
 
 from conftest import draw_tame_word, injective_oracle, random_fraction, random_unipoly
@@ -209,9 +210,11 @@ class TestRowsFromTheCurve:
                 if p.degree() < 2:
                     continue
                 rows, d = _rows(difference_quotient(p))
-                sliced = _quotient_rows(p)
-                assert [[c * d for c in row] for row in sliced] == [
-                    [c * p._d for c in row] for row in rows
+                n = [p._t.get(k, 0) for k in range(p.degree() + 1)]
+                nb = cell_bytes(max(map(abs, n)))
+                sliced = [digits(v, nb) for v in _quotient_rows(n, 8 * nb)]
+                assert [{i: c * d for i, c in row.items()} for row in sliced] == [
+                    {i: c * p._d for i, c in enumerate(row) if c} for row in rows
                 ]
 
 
