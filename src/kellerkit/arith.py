@@ -74,7 +74,7 @@ from typing import Iterable, Union
 
 from .errors import DegenerateResultant, InvalidLine
 from .kronecker import _cross_packed, cell_bytes, digits, pack, unpack
-from .subresultant import _last_remainder, _pack_rows, _resultant, _subresultants, _zquo
+from .subresultant import _pack_rows, _subresultants, _zquo
 
 Coeff = Union[int, Fraction]
 
@@ -399,12 +399,6 @@ class UniPoly(_SparsePoly):
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
 
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
     def derivative(self) -> "UniPoly":
         return UniPoly._reduce({k - 1: k * v for k, v in self._t.items() if k > 0}, self._d)
 
@@ -440,7 +434,7 @@ def gcd_univariate(p: UniPoly, q: UniPoly) -> UniPoly:
     if not (p and q):
         return (p or q).monic()
     f, g = ([w._t.get(k, 0) for k in range(w.degree(), -1, -1)] for w in (p, q))
-    h, _ = _subresultants(f, g)
+    h, _ = _subresultants(f, g, (0, 0))
     return UniPoly._new({len(h) - 1 - i: c for i, c in enumerate(h) if c}).monic()
 
 
@@ -885,31 +879,55 @@ def restrict_to_line(H: PolyMap, line: Line):
 
 
 # ---------------------------------------------------------------------------
-# Resultants.  A bivariate polynomial p, integer numerators over D, is
-# laid out as rows in y, highest power first, each a dense list of ints in
-# x, lowest power first, with no trailing zeros.  subresultant._resultant
-# takes them packed into ints (_pack_rows) and returns the packed
-# resultant; resultant_y unpacks it and undoes the scaling once, from
+# Resultants and gcds from one subresultant sequence.  A bivariate
+# polynomial p, integer numerators over D, is laid out as rows in y,
+# highest power first, each a {i: n} term dict in x, free of zeros.
+# _pack_rows packs them into ints for subresultant._subresultants, and one
+# run gives both answers.  When the last remainder has degree 0 in y the
+# other output is the resultant; resultant_y unpacks it and undoes the
+# scaling once, from
 #
 #     res_y(Dp*p, Dq*q) = Dp^deg_y(q) * Dq^deg_y(p) * res_y(p, q).
 #
-# embedding.is_injective_param packs rows straight off the curve and never
-# divides: vanishing, degree and monic form do not change under a positive
-# scaling.
+# Otherwise the resultant is 0 and the last remainder is an associate of
+# the gcd over Q(x), so its primitive part (_primitive_part) times the gcd
+# of the contents is the gcd.  Contents are taken over Q[x] by
+# gcd_univariate, monic, so their numerators are primitive (their gcd
+# divides the leading one, the denominator) and by Gauss's lemma divide
+# the rows in Z[x].  embedding.is_injective_param packs rows straight off
+# the curve and never divides: vanishing, degree, monic form and primitive
+# part do not change under a positive scaling.
 # ---------------------------------------------------------------------------
 
 
-def _rows(p: BiPoly) -> tuple[list[list[int]], int]:
+def _rows(p: BiPoly) -> tuple[list[dict[int, int]], int]:
     """(rows, D): p's integer numerators over D as rows in y, highest
     first; no rows for p = 0."""
     dy = max((j for _, j in p._t), default=-1)
-    rows: list[list[int]] = [[] for _ in range(dy + 1)]
+    rows: list[dict[int, int]] = [{} for _ in range(dy + 1)]
     for (i, j), n in p._t.items():
-        row = rows[dy - j]
-        if len(row) <= i:
-            row += [0] * (i + 1 - len(row))
-        row[i] = n
+        rows[dy - j][i] = n
     return rows, p._d
+
+
+def _content(rows: list[dict[int, int]]) -> UniPoly:
+    """The monic gcd over Q[x] of rows in Z[x], not all zero."""
+    c = UniPoly.zero()
+    for row in rows:
+        c = gcd_univariate(c, UniPoly._new(row))
+        if not c.degree():
+            break
+    return c
+
+
+def _primitive_part(h: list[int], nb: int) -> BiPoly:
+    """The rows h, packed at nb, over their content, as a BiPoly."""
+    rows = [digits(v, nb) for v in h]
+    c = _content(rows)
+    if c.degree():
+        rows = [_zquo(row, c._t) for row in rows]
+    k = len(rows) - 1
+    return BiPoly._new({(i, k - j): n for j, row in enumerate(rows) for i, n in row.items()})
 
 
 def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
@@ -923,29 +941,8 @@ def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
         raise DegenerateResultant("resultant_y needs positive y-degree in both arguments")
     (f, Dp), (g, Dq) = _rows(p), _rows(q)
     F, G, cells = _pack_rows(f, g)
-    return UniPoly._reduce(digits(_resultant(F, G, cells), cells[1]), Dp**dq * Dq**dp)
-
-
-# ---------------------------------------------------------------------------
-# Bivariate gcd from the same subresultant sequence, used to extract
-# witnesses when a resultant vanishes identically.  The last nonzero
-# remainder of any remainder sequence is an associate of the gcd over
-# Q(x), so its primitive part times the gcd of the contents is the gcd.
-# Contents are taken over Q[x] by gcd_univariate, monic, so their
-# numerators are primitive (their gcd divides the leading one, the
-# denominator) and by Gauss's lemma divide the rows in Z[x].
-# ---------------------------------------------------------------------------
-
-
-def _primitive(f: list[list[int]]) -> tuple[UniPoly, list[list[int]]]:
-    """The monic x-content of nonzero rows f over Q[x], and f divided by it."""
-    c = UniPoly.zero()
-    for row in f:
-        c = gcd_univariate(c, UniPoly._new({i: n for i, n in enumerate(row) if n}))
-        if c.is_constant() and not c.is_zero():
-            return c, f
-    z = [c._t.get(i, 0) for i in range(c.degree() + 1)]
-    return c, [_zquo(row, z) for row in f]
+    h, s = _subresultants(F, G, cells)
+    return UniPoly._reduce(digits(s, cells[1]) if len(h) == 1 else {}, Dp**dq * Dq**dp)
 
 
 def normalize_leading(p: BiPoly) -> BiPoly:
@@ -959,10 +956,8 @@ def gcd_bivariate(a: BiPoly, b: BiPoly) -> BiPoly:
         return normalize_leading(b)
     if b.is_zero():
         return normalize_leading(a)
-    ca, pa = _primitive(_rows(a)[0])
-    cb, pb = _primitive(_rows(b)[0])
-    _, h = _primitive(_last_remainder(pa, pb))
-    k = len(h) - 1
-    h = BiPoly._new({(i, k - j): n for j, row in enumerate(h) for i, n in enumerate(row) if n})
-    c = gcd_univariate(ca, cb)
+    f, g = _rows(a)[0], _rows(b)[0]
+    F, G, cells = _pack_rows(f, g)
+    h = _primitive_part(_subresultants(F, G, cells)[0], cells[1])
+    c = _content(f + g)
     return normalize_leading(h * c.to_bipoly() if c.degree() else h)

@@ -6,11 +6,12 @@ valid over any extension field, not just the rationals:
 
 * injectivity fails exactly when the difference quotients
   D_p(s, t) = (p(s) - p(t)) / (s - t) and D_q share a zero over the
-  algebraic closure, detected through a resultant on rows in y packed
-  into ints straight off p's and q's numerators (subresultant.py), with
-  one unpack at the end.  Degenerate components are decided from
-  degrees; a BiPoly quotient is built only for a witness (a bivariate
-  gcd for a shared component, or the quotient itself next to a constant);
+  algebraic closure, decided by one subresultant sequence on rows in y
+  packed into ints straight off p's and q's numerators (subresultant.py).
+  Its output is unpacked once: the resultant, or for a shared component
+  the last remainder, whose primitive part is the gcd witness.
+  Degenerate components are decided from degrees, and a BiPoly quotient
+  is built only as the witness next to a constant component;
 * immersion fails exactly when p' and q' share a root, detected through
   a univariate gcd.
 
@@ -32,13 +33,13 @@ from .arith import (
     Parametrization,
     UniPoly,
     _cdiv,
-    gcd_bivariate,
+    _primitive_part,
     gcd_univariate,
     normalize_leading,
 )
 from .errors import AbhyankarMohViolation, NotAnEmbedding
 from .kronecker import digits
-from .subresultant import _cells, _resultant
+from .subresultant import _cells, _subresultants
 from .tame import (
     AffineFactor,
     ElementaryFactor,
@@ -92,8 +93,11 @@ def is_injective_param(gamma: Parametrization) -> Check:
     genuine common zero, so: resultant a nonzero constant means injective;
     a nonconstant resultant is itself the witness (its roots carry the
     collisions); an identically zero resultant means a shared component,
-    and the bivariate gcd is the witness.  The rows are the quotients times
-    positive constants (_quotient_rows), which change none of these answers.
+    and the bivariate gcd is the witness.  The sequence that finds the zero
+    resultant ends in a Q(x)-associate of that gcd, and the quotients'
+    x-contents are 1 (their y-leading rows are constants), so the gcd is
+    its primitive part.  The rows are the quotients times positive
+    constants (_quotient_rows), which change none of these answers.
     """
     p, q = gamma.first, gamma.second
     dp, dq = p.degree(), q.degree()
@@ -114,9 +118,9 @@ def is_injective_param(gamma: Parametrization) -> Check:
         return Check(True, None)
     n = [[w._t.get(k, 0) for k in range(d + 1)] for w, d in ((p, dp), (q, dq))]
     cells = _cells(*[list(accumulate(map(abs, c[:0:-1]))) for c in n])
-    res = _resultant(*[_quotient_rows(c, 8 * cells[0]) for c in n], cells)
-    if not res:
-        return Check(False, gcd_bivariate(difference_quotient(p), difference_quotient(q)))
+    h, res = _subresultants(*[_quotient_rows(c, 8 * cells[0]) for c in n], cells)
+    if len(h) > 1:
+        return Check(False, normalize_leading(_primitive_part(h, cells[1])))
     res = digits(res, cells[1])
     if res.keys() == {0}:
         return Check(True, None)

@@ -15,8 +15,10 @@ cell_bytes(isqrt(M_0^2) + 1) bytes a nonzero one never packs to 0 and
 unpacks exactly; a remainder before its division may exceed the bound
 and is never tested.  A long first pseudo-division (m - n >= 2) runs at
 the smaller cells of M_(n-1), the bound on its output, which moves with
-g to M_0's cells after it.  gcd_univariate's rows are constants, ints
-already; _zquo, on dense Z[x] lists, serves gcd_bivariate's content step.
+g to M_0's cells after it.  Callers read both answers off one run: the
+resultant, or the last remainder, which arith._primitive_part turns into
+the gcd's primitive part.  Rows in Z[x] are {i: n} term dicts, as in
+BiPoly._t; gcd_univariate's rows are constants, ints already.
 """
 
 from __future__ import annotations
@@ -27,21 +29,21 @@ from operator import mul
 from .kronecker import cell_bytes, digits
 
 
-def _zquo(a: list[int], b: list[int]) -> list[int]:
+def _zquo(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """a / b in Z[x] for nonzero b; raises ValueError unless b divides a
     exactly, so a quotient is never truncated."""
-    db, lb = len(b) - 1, b[-1]
-    r = list(a)
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c, m = divmod(r[k + db], lb)
+    db = max(b)
+    lb, low = b[db], [(i, n) for i, n in b.items() if i < db]
+    r, q = dict(a), {}
+    for k in range(max(a, default=-1) - db, -1, -1):
+        c, m = divmod(r.pop(k + db, 0), lb)
         if m:
             raise ValueError("inexact polynomial division")
         if c:
             q[k] = c
-            for i in range(db):
-                r[k + i] -= c * b[i]
-    if any(r[:db]):
+            for i, n in low:
+                r[k + i] = r.get(k + i, 0) - c * n
+    if any(r.values()):
         raise ValueError("inexact polynomial division")
     return q
 
@@ -64,10 +66,10 @@ def _pack(terms, nb: int) -> int:
     return sum(n << (8 * nb * k) for k, n in terms)
 
 
-def _pack_rows(f: list[list[int]], g: list[list[int]]):
-    """(F, G, cells): dense Z[x] rows f and g packed at _cells' first."""
-    cells = _cells(*[[sum(map(abs, row)) for row in w] for w in (f, g)])
-    F, G = ([_pack(enumerate(row), cells[0]) for row in w] for w in (f, g))
+def _pack_rows(f: list[dict[int, int]], g: list[dict[int, int]]):
+    """(F, G, cells): Z[x] rows f and g packed at _cells' first."""
+    cells = _cells(*[[sum(map(abs, row.values())) for row in w] for w in (f, g)])
+    F, G = ([_pack(row.items(), cells[0]) for row in w] for w in (f, g))
     return F, G, cells
 
 
@@ -84,9 +86,9 @@ def _prem(f: list[int], g: list[int]) -> list[int]:
     return r
 
 
-def _subresultants(f: list[int], g: list[int], cells: tuple[int, int] = (0, 0)):
+def _subresultants(f: list[int], g: list[int], cells: tuple[int, int]):
     """Subresultant remainder sequence of nonzero rows f and g packed at
-    cells[0], in either order; rows of constants keep the default.
+    cells[0], in either order; rows of constants pass (0, 0).
 
     Returns (h, s), packed at cells[1]: the last nonzero remainder and,
     when h has degree 0, the resultant, with the sign of the Sylvester
@@ -117,19 +119,3 @@ def _subresultants(f: list[int], g: list[int], cells: tuple[int, int] = (0, 0)):
             return g, -sign * c
         f, g, d = g, h, len(g) - len(h)
         b = -lc * c**d
-
-
-def _resultant(f: list[int], g: list[int], cells: tuple[int, int]) -> int:
-    """Resultant in y of rows f and g packed at _cells' first, both of
-    positive degree in y, packed at its last; 0 when it vanishes."""
-    h, s = _subresultants(f, g, cells)
-    return 0 if len(h) > 1 else s
-
-
-def _last_remainder(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
-    """The last nonzero remainder of the sequence of nonzero dense rows f
-    and g, as dense rows."""
-    F, G, cells = _pack_rows(f, g)
-    h, _ = _subresultants(F, G, cells)
-    rows = [digits(v, cells[1]) for v in h]
-    return [[row.get(i, 0) for i in range(max(row, default=-1) + 1)] for row in rows]

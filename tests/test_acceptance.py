@@ -309,4 +309,5 @@ def test_criterion_8_parser_and_goldens():
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == (GOLDEN_DIR / (name + ".txt")).read_bytes()
 
-    _finish("criterion 8", "500 round trips, 9 goldens byte-identical", start, 10)
+    _finish("criterion 8", "500 round trips, %d goldens byte-identical" % len(GOLDEN_CASES),
+            start, 10)

@@ -458,6 +458,17 @@ class TestCommands:
         H = PolyMap(parse_bipoly("x + y^2"), parse_bipoly("y"))
         assert factorization_to_map(word) == H
 
+    def test_prove_line_certificate_that_fails_replay(self, tmp_path, capsys, monkeypatch):
+        # The written file is re-read and replayed; a replay that finds no
+        # inverse refuses the proof with exit 4.
+        monkeypatch.setattr(cli, "verified_inverse", lambda word, H: None)
+        path = tmp_path / "cert.json"
+        args = ["prove-line", "x + y^2", "y", "--line", "0,1,0", "--certificate", str(path)]
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: certificate failed replay"]
+
     def test_prove_line_unwritable_certificate(self, tmp_path, capsys):
         path = tmp_path / "missing" / "cert.json"
         args = ["prove-line", "x + y^2", "y", "--line", "0,1,0", "--certificate", str(path)]

@@ -25,6 +25,7 @@ from kellerkit import (
     rectify,
     resultant_y,
 )
+from kellerkit import arith, embedding
 from kellerkit.arith import _rows, normalize_leading
 from kellerkit.embedding import Check, _quotient_rows
 from kellerkit.kronecker import cell_bytes, digits
@@ -214,8 +215,45 @@ class TestRowsFromTheCurve:
                 nb = cell_bytes(max(map(abs, n)))
                 sliced = [digits(v, nb) for v in _quotient_rows(n, 8 * nb)]
                 assert [{i: c * d for i, c in row.items()} for row in sliced] == [
-                    {i: c * p._d for i, c in enumerate(row) if c} for row in rows
+                    {i: c * p._d for i, c in row.items()} for row in rows
                 ]
+
+
+class TestSharedComponent:
+    """gamma = (phi, r(phi)) with deg phi >= 2: D_phi divides D_(r(phi)),
+    whose rows are D_r(phi(x), phi(y)) * D_phi, so the witness is D_phi
+    itself.  This oracle needs no gcd code, which is_injective_param and
+    _bipoly_route's gcd_bivariate share."""
+
+    @staticmethod
+    def _poly(rng, deg):
+        lead = rng.choice((-1, 1)) * Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        return UniPoly({**{k: random_fraction(rng) for k in range(deg)}, deg: lead})
+
+    def test_witness_is_the_inner_quotient(self, rng):
+        for _ in range(300):
+            phi = self._poly(rng, rng.randint(2, 5))
+            r = self._poly(rng, rng.randint(1, 3))
+            gamma = Parametrization(phi, r.compose(phi))
+            want = Check(False, normalize_leading(difference_quotient(phi)))
+            assert is_injective_param(gamma) == want
+
+    def test_one_sequence_and_no_gcd(self, monkeypatch):
+        runs, sequence = [], embedding._subresultants
+
+        def spy(*args):
+            runs.append(args)
+            return sequence(*args)
+
+        def refuse(*args):
+            raise AssertionError("a second route to the witness")
+
+        monkeypatch.setattr(embedding, "_subresultants", spy)
+        monkeypatch.setattr(embedding, "difference_quotient", refuse)
+        monkeypatch.setattr(arith, "gcd_bivariate", refuse)
+        check = is_injective_param(curve({2: 1, 1: 1}, {4: 1, 3: 2, 2: 1}))  # (p, p^2)
+        assert len(runs) == 1
+        assert check == Check(False, BiPoly({(1, 0): 1, (0, 1): 1, (0, 0): 1}))
 
 
 class TestImmersion:
