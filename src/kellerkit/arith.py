@@ -31,7 +31,8 @@ intermediate BiPoly: it computes f_x*g_y - f_y*g_x on the numerators of
 f and g into one int dict.  With W and R the sums of the x-degrees and
 of the y-degrees of f and g, every term of the result lies in a W by R
 grid.  If W*R is 0 (f_x = g_x = 0 or f_y = g_y = 0) the result is 0.
-Otherwise an exact count of the work items of each strategy picks one:
+Otherwise an exact count of the work items of each strategy picks one,
+by the one size rule of every packed kernel, kronecker.packs:
 - W*R + 2*(m + n) <= m*n, for m and n terms in f and g: the grid cells
   and the derivative terms the packing writes are no more than the term
   pairs of the other strategy.  Kronecker substitution, x^i*y^j ->
@@ -52,8 +53,9 @@ composed with its inverse), so unpacking is cheap.  The general product
 kernel _convolve stays a term pair loop; a packed _convolve lost on the
 small products of line proofs, which do not cancel.
 
-UniPoly compositions and elementary factors evaluate by one generic
-Horner loop, _horner, over their own ring.
+Elementary factors evaluate by one generic Horner loop, _horner, over
+the ring of the pair they apply to.  A UniPoly composition is a
+Substitution of a pair of UniPoly.
 
 The canonical term order is graded lexicographic with x heavier than y:
 higher total degree first, ties broken by the exponent of x.  One render
@@ -73,7 +75,7 @@ from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import DegenerateResultant, InvalidLine
-from .kronecker import _cross_packed, cell_bytes, digits, pack, unpack
+from .kronecker import _cross_packed, cell_bytes, digits, pack, packs, unpack
 from .subresultant import _pack_rows, _subresultants, _zquo
 
 Coeff = Union[int, Fraction]
@@ -157,7 +159,7 @@ class _NegInf:
 NEG_INF = _NegInf()
 
 
-def _horner(sorted_terms, value, zero):
+def _horner(sorted_terms, value):
     """Evaluate sum(c * value^k) given terms sorted by descending k.
 
     Works over any ring with +, * and ** for non-negative ints:
@@ -165,7 +167,7 @@ def _horner(sorted_terms, value, zero):
     the accumulator as it is, so a scalar c is lifted by the polynomial's
     own addition and c may also be an element of value's ring.
     """
-    acc = zero
+    acc = 0
     prev = None
     for k, c in sorted_terms:
         if prev is not None:
@@ -265,11 +267,6 @@ class _SparsePoly:
         key = max(self._t, key=self._order)
         return key, _rat(self._t[key], self._d)
 
-    def leading_form(self):
-        """Homogeneous part of top total degree."""
-        d = self.total_degree()
-        return self._reduce({k: v for k, v in self._t.items() if self._deg(k) == d}, self._d)
-
     def __eq__(self, other):
         if isinstance(other, type(self)):
             return self._d == other._d and self._t == other._t
@@ -321,15 +318,7 @@ class _SparsePoly:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative int")
-        result = self.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power({0: self.one(), 1: self}, e, type(self).__mul__)
 
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, self.render())
@@ -396,9 +385,6 @@ class UniPoly(_SparsePoly):
             q, r = q + t, r - t * other
         return q, r
 
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
-
     def derivative(self) -> "UniPoly":
         return UniPoly._reduce({k - 1: k * v for k, v in self._t.items() if k > 0}, self._d)
 
@@ -409,9 +395,6 @@ class UniPoly(_SparsePoly):
             return self
         lc = self._t[max(self._t)]
         return self._reduce(self._t if lc > 0 else {k: -v for k, v in self._t.items()}, abs(lc))
-
-    def compose(self, other: "UniPoly") -> "UniPoly":
-        return _horner(self.terms(), other, UniPoly.zero())
 
     def __call__(self, value: Coeff) -> Coeff:
         return self.to_bipoly().evaluate(value, 0)
@@ -529,10 +512,6 @@ class BiPoly(_SparsePoly):
             raise ValueError("polynomial involves y: %s" % self.render())
         return self.on_x_axis()
 
-    def substitute(self, u, v):
-        """Substitute u for x and v for y; u and v share one polynomial type."""
-        return Substitution(u, v).apply(self)
-
     def evaluate(self, a: Coeff, b: Coeff) -> Coeff:
         return Substitution(Fraction(a), Fraction(b)).apply(self)
 
@@ -624,8 +603,9 @@ class Substitution:
     are cached across apply() calls, so substituting the same pair into
     several polynomials (both components of a map, say) shares the
     multiplications.  An exact count of work items picks one of two
-    strategies for the sum, as in jacobian_det.  With m terms in p, n in U
-    and V together, and a W by R grid that holds every term of the result:
+    strategies for the sum by kronecker.packs, as in jacobian_det.  With
+    m terms in p, n in U and V together, and a W by R grid that holds
+    every term of the result:
 
     - W*R + 2*(m + n) <= m*n, for p of total degree 2 or more: packed
       (kronecker.py).  U and V are packed into ints once, and their
@@ -643,8 +623,9 @@ class Substitution:
       place, and each step of Horner's rule is the product kernel
       _convolve.  It bounds the work on sparse input of high degree,
       whose grid would be too large to pack, and wins on small input,
-      where packing costs more than a few pairs.  2*(m + n) < m*n is
-      tested first, before any per-term work.
+      where packing costs more than a few pairs.  The rule with a grid of
+      one cell, 1 + 2*(m + n) <= m*n, is tested first, before any
+      per-term work.
 
     u and v share one ring, BiPoly, UniPoly or the rationals, and apply()
     returns an element of it; a UniPoly or a scalar is read as a
@@ -679,14 +660,14 @@ class Substitution:
         """W when the size rule packs p, else None."""
         t = p._t
         m, n = len(t), len(self._u) + len(self._v)
-        if 2 * (m + n) >= m * n or max(map(sum, t)) < 2:
+        if not packs(1, m, n) or max(map(sum, t)) < 2:  # a grid has 1 cell or more
             return None
         if not self._uv_degrees:
             self._uv_degrees = _degrees(self._u) + _degrees(self._v)
         ux, uy, vx, vy = self._uv_degrees
         w = 1 + max(ux, vx, *[i * ux + j * vx for i, j in t])
         r = 1 + max(i * uy + j * vy for i, j in t)
-        return w if w * r + 2 * (m + n) <= m * n else None
+        return w if packs(w * r, m, n) else None
 
     def _pairs(self, rows, xs, ys, dx, dy) -> dict:
         for i in xs:
@@ -781,7 +762,7 @@ def jacobian_det(H: PolyMap) -> BiPoly:
     rows = max((j for _, j in f), default=0) + max((j for _, j in g), default=0)
     if not width * rows:  # f_x = g_x = 0 or f_y = g_y = 0
         return BiPoly.zero()
-    if width * rows + 2 * (len(f) + len(g)) <= len(f) * len(g):
+    if packs(width * rows, len(f), len(g)):
         out = _cross_packed(a, b, width)
     else:
         out = _cross_sparse(a, b)

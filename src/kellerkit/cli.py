@@ -49,7 +49,7 @@ from .errors import (
     PreconditionViolated,
     TheoremViolationWitness,
 )
-from .keller import is_keller, prove_line, verified_inverse
+from .keller import Certificate, FinalCheck, Inverted, is_keller, prove_line, verify_certificate
 from .newton import newton_polygon, similarity_check
 from .tame import (
     AffineFactor,
@@ -323,12 +323,15 @@ def _cmd_prove_line(args):
         payload = json.dumps(cert.to_json_list(), indent=2)
         with open(args.certificate, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
-        # Re-read and replay the certificate so the written file is known
-        # to be consumable, not just written.
+        # Re-read the file and replay its inverse word and final check with
+        # verify_certificate, so it is known to be consumable, not just written.
         with open(args.certificate, "r", encoding="utf-8") as handle:
             stored = {s["step"]: s for s in json.load(handle)}
-        reread = factorization_from_json(stored["inverted"]["factorization"])
-        if not stored["final_check"]["verified"] or verified_inverse(reread, H) is None:
+        reread = Certificate((
+            Inverted(factorization_from_json(stored["inverted"]["factorization"])),
+            FinalCheck(stored["final_check"]["verified"]),
+        ))
+        if not verify_certificate(reread, H):
             raise _ReplayFailed("certificate failed replay")
     payload = {
         "inverse": inverse_map.to_json_dict(),
@@ -357,38 +360,30 @@ def _cmd_gen_auto(args):
     return 0, {"factorization": word.to_json_list()}, [word.render()]
 
 
-_COMMANDS = {
-    "jac": _cmd_jac,
-    "polygon": _cmd_polygon,
-    "similar": _cmd_similar,
-    "is-auto": _cmd_is_auto,
-    "invert": _cmd_invert,
-    "embed-check": _cmd_embed_check,
-    "rectify": _cmd_rectify,
-    "prove-line": _cmd_prove_line,
-    "gen-auto": _cmd_gen_auto,
-}
-
-
-# Each command's help and its positionals, name -> help (None for none).
+# Each command's handler, its help and its positionals, name -> help
+# (None for none).
 _MAP_ARGS = dict.fromkeys(("first", "second"))
-_SYNTAX = {
-    "jac": ("Jacobian determinant and Keller test", {
+_COMMANDS = {
+    "jac": (_cmd_jac, "Jacobian determinant and Keller test", {
         "first": "first component, a polynomial in x and y", "second": "second component",
     }),
-    "polygon": ("Newton polygon of a polynomial", {"poly": "a polynomial in x and y"}),
-    "similar": ("Newton polygon similarity test", {
+    "polygon": (_cmd_polygon, "Newton polygon of a polynomial", {
+        "poly": "a polynomial in x and y",
+    }),
+    "similar": (_cmd_similar, "Newton polygon similarity test", {
         "first": "first component, degree > 1", "second": "second component, degree > 1",
     }),
-    "is-auto": ("recognize a tame automorphism", _MAP_ARGS),
-    "invert": ("invert a tame automorphism", _MAP_ARGS),
-    "embed-check": ("injectivity/immersion of a curve", {
+    "is-auto": (_cmd_is_auto, "recognize a tame automorphism", _MAP_ARGS),
+    "invert": (_cmd_invert, "invert a tame automorphism", _MAP_ARGS),
+    "embed-check": (_cmd_embed_check, "injectivity/immersion of a curve", {
         "first": "first component, a polynomial in x (the parameter)",
         "second": "second component",
     }),
-    "rectify": ("straighten an embedded line", _MAP_ARGS),
-    "prove-line": ("certified inverse of a Keller map injective on a line", _MAP_ARGS),
-    "gen-auto": ("generate a random tame word", {}),
+    "rectify": (_cmd_rectify, "straighten an embedded line", _MAP_ARGS),
+    "prove-line": (
+        _cmd_prove_line, "certified inverse of a Keller map injective on a line", _MAP_ARGS,
+    ),
+    "gen-auto": (_cmd_gen_auto, "generate a random tame word", {}),
 }
 
 
@@ -399,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tame automorphisms, line embeddings, certified inversion.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (text, positionals) in _SYNTAX.items():
+    for name, (_, text, positionals) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         for arg, arg_help in positionals.items():
@@ -470,7 +465,7 @@ def _row(table, exc):
 def _answer(args):
     """The command's answer, a negative one when it raises one of _ANSWERS."""
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _types(_ANSWERS) as exc:
         code, payload = _row(_ANSWERS, exc)
         error_code, extra = payload(exc)

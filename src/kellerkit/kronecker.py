@@ -9,11 +9,19 @@ are the balanced base-2^B digits of its int.  B is a whole number of
 bytes, nb, so packing and unpacking copy bytes, in time linear in the
 number of cells.  arith packs the Jacobian's cross product
 (_cross_packed, here) and substitutions whose result cancels to few
-terms, so unpacking reads few digits.  subresultant.py packs rows in y
-at x = 2^B alone, so resultants and gcds run on ints, read by digits.
+terms, so unpacking reads few digits; one size rule, packs, decides
+for both.  subresultant.py packs rows in y at x = 2^B alone, so
+resultants and gcds run on ints, read by digits.
 """
 
 from __future__ import annotations
+
+
+def packs(cells: int, m: int, n: int) -> bool:
+    """The size rule of every packed kernel: pack when the grid's cells
+    and the 2*(m + n) terms written into it are no more than the m*n term
+    pairs of a product of m terms by n terms."""
+    return cells + 2 * (m + n) <= m * n
 
 
 def cell_bytes(bound: int) -> int:

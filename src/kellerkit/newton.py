@@ -79,12 +79,6 @@ class Polygon:
     def vertices(self) -> tuple[Point, ...]:
         return self._v
 
-    def is_point(self) -> bool:
-        return len(self._v) == 1
-
-    def is_segment(self) -> bool:
-        return len(self._v) == 2
-
     def contains(self, point) -> bool:
         """Membership including the boundary: adding the point leaves the
         hull unchanged."""

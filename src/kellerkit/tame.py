@@ -6,18 +6,19 @@ univariate shift of one coordinate to the other).  A Factorization holds
 the word with factors applied right to left, matching function
 composition: Factorization((A, B, C)) is the map A o B o C.
 
-Recognition (decide_automorphism) is the Keller gate, then the
-leading-form reduction _peel: while both components have degree above 1,
-the higher-degree leading form must be a scalar multiple of a power of
-the other component's leading form, and subtracting that multiple
-strictly drops the degree.  Once one component is affine, inversion is
-direct (invert_low_degree): that component, completed with y (with x
+Recognition (decide_automorphism) is the Keller gate, then the degree
+reduction _peel: while both components have degree above 1, subtracting
+a scalar multiple of a power of the lower component from the higher one
+must strictly drop its degree.  Once one component is affine, inversion
+is direct (invert_low_degree): that component, completed with y (with x
 when it has no x term), is an affine map A1^{-1}, and H o A1 is one
 elementary factor and one scaling.  _peel works on pairs of UniPoly as
 well, and embedding.rectify runs it on a curve's components.  Failure at
 any step returns a NotAutomorphism value carrying the residual map; it is
 a result, not an exception, because "not an automorphism" is a
-legitimate answer.
+legitimate answer.  A state that a constant Jacobian rules out (in
+invert_low_degree, or a word that does not recompose) raises
+TheoremViolationWitness instead.
 """
 
 from __future__ import annotations
@@ -147,8 +148,8 @@ class ElementaryFactor(_FactorMap):
     def apply(self, pair):
         p, q = pair
         if self.axis == "first":
-            return (p + _horner(self.shift.terms(), q, 0), q)
-        return (p, q + _horner(self.shift.terms(), p, 0))
+            return (p + _horner(self.shift.terms(), q), q)
+        return (p, q + _horner(self.shift.terms(), p))
 
     def to_json_dict(self) -> dict:
         return {"kind": self._KIND, "axis": self.axis, "shift": self.shift.render()}
@@ -261,8 +262,8 @@ def invert_low_degree(H: PolyMap) -> Factorization:
     df, dg = (p.total_degree() for p in pair)
     if min(df, dg) > 1:
         raise PreconditionViolated("DegreeTooHigh", "both components have degree > 1")
-    # A constant component would force a zero Jacobian, caught above.
-    assert df >= 1 and dg >= 1
+    if min(df, dg) < 1:  # a constant component forces a zero Jacobian
+        raise TheoremViolationWitness("Keller map with a constant component")
     if max(df, dg) == 1:
         fac = _affine(*pair)
         return Factorization(() if fac.is_identity() else (fac,))
@@ -274,15 +275,15 @@ def invert_low_degree(H: PolyMap) -> Factorization:
     a1_inv = _affine(lin, completion) if low == 0 else _affine(completion, lin)
     sub = Substitution(*a1_inv.inverse().apply(xy))
     normal = [sub.apply(p) for p in pair]
-    assert normal[low] == xy[low], (
-        "normalization failed to fix the %s coordinate" % _AXES[low]
-    )
+    if normal[low] != xy[low]:
+        raise TheoremViolationWitness(
+            "normalization failed to fix the %s coordinate" % _AXES[low]
+        )
     main = normal[hi]
     unit = (1, 0) if hi == 0 else (0, 1)
     alpha = main.coeff(*unit)
-    assert alpha and all(e == unit or not e[hi] for e in main.support()), (
-        "constant Jacobian must force a triangular normalized map"
-    )
+    if not alpha or any(e != unit and e[hi] for e in main.support()):
+        raise TheoremViolationWitness("constant Jacobian must force a triangular normalized map")
     shift = UniPoly({e[low]: _cdiv(c, alpha) for e, c in main.terms() if not e[hi]})
     a2 = AffineFactor(alpha, 0, 0, 1) if hi == 0 else AffineFactor(1, 0, 0, alpha)
     word = (a2, ElementaryFactor(_AXES[hi], shift), a1_inv)
@@ -292,12 +293,14 @@ def invert_low_degree(H: PolyMap) -> Factorization:
 def _peel(a, b):
     """Degree reduction of a pair of UniPoly or of BiPoly (Jung, van der Kulk).
 
-    While both total degrees exceed 1, the higher degree (on ties, the
-    second's) must be d times the lower, and the higher component's
-    leading form lam times that of lo^d; then lam * lo^d comes off it, a
-    strict drop in degree.  Returns (factors, (a', b'), ok) with
-    apply_factors(factors, (a', b')) == (a, b), one elementary factor per
-    step; ok is False when the reduction stopped with both degrees above 1.
+    While both total degrees exceed 1, the higher degree dh (on ties, the
+    second's) must be d times the lower, and lam * lo^d, with lam matching
+    the leading terms, comes off the higher component; the step is valid
+    exactly when that drops its degree below dh.  Both have degree dh, so
+    the drop is the agreement of their leading forms.  Returns (factors,
+    (a', b'), ok) with apply_factors(factors, (a', b')) == (a, b), one
+    elementary factor per step; ok is False when the reduction stopped
+    with both degrees above 1.
     """
     peeled: list[Factor] = []
     while True:
@@ -311,10 +314,9 @@ def _peel(a, b):
         d = dh // dl
         power = lo**d
         lam = _cdiv(hi.leading_term()[1], power.leading_term()[1])
-        if hi.leading_form() != power.leading_form() * lam:
-            return tuple(peeled), (a, b), False
         reduced = hi - power * lam
-        assert reduced.total_degree() < dh, "elementary step failed to reduce the degree"
+        if reduced.total_degree() >= dh:
+            return tuple(peeled), (a, b), False
         peeled.append(ElementaryFactor("first" if first else "second", UniPoly({d: lam})))
         a, b = (reduced, b) if first else (a, reduced)
 

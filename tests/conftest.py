@@ -20,6 +20,7 @@ from kellerkit import (
     BiPoly,
     ElementaryFactor,
     Factorization,
+    Substitution,
     UniPoly,
     random_tame,
 )
@@ -140,6 +141,12 @@ def random_axis_preserving_affine(rng: random.Random) -> AffineFactor:
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
+
+
+def compose_uni(p: UniPoly, q: UniPoly) -> UniPoly:
+    """p(q), as the library composes univariate polynomials: a
+    Substitution of the pair (q, q) into p read as a polynomial in x."""
+    return Substitution(q, q).apply(p.to_bipoly())
 
 
 def eval_bipoly_naive(p: BiPoly, a: Fraction, b: Fraction) -> Fraction:

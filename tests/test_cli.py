@@ -26,6 +26,7 @@ from kellerkit import (
     ElementaryFactor,
     Factorization,
     KellerKitError,
+    KellerReport,
     ParseError,
     PolyMap,
     TheoremViolationWitness,
@@ -84,6 +85,14 @@ FAILED_CHECKS = [
                  id="prove_line_final_check"),
     pytest.param("tame", "factorization_to_map", "lambda word: PolyMap.identity()",
                  ["is-auto", "x + y^2", "y"], id="recompose"),
+    # invert_low_degree's three checks, each reached past a gate patched open
+    # or with a completion patched wrong.
+    pytest.param("tame", "is_keller", "lambda H: KellerReport(BiPoly.one(), True)",
+                 ["is-auto", "x", "1"], id="low_degree_constant_component"),
+    pytest.param("tame", "_affine", "lambda f, g: AffineFactor(1, 0, 0, 2)",
+                 ["invert", "x + y^2", "y"], id="low_degree_normalization"),
+    pytest.param("tame", "is_keller", "lambda H: KellerReport(BiPoly.one(), True)",
+                 ["is-auto", "x*y", "y"], id="low_degree_triangular"),
 ]
 
 # ---------------------------------------------------------------------------
@@ -461,7 +470,7 @@ class TestCommands:
     def test_prove_line_certificate_that_fails_replay(self, tmp_path, capsys, monkeypatch):
         # The written file is re-read and replayed; a replay that finds no
         # inverse refuses the proof with exit 4.
-        monkeypatch.setattr(cli, "verified_inverse", lambda word, H: None)
+        monkeypatch.setattr(cli, "verify_certificate", lambda cert, H: False)
         path = tmp_path / "cert.json"
         args = ["prove-line", "x + y^2", "y", "--line", "0,1,0", "--certificate", str(path)]
         assert main(args) == 4
@@ -558,7 +567,7 @@ class TestExitCodes:
         def boom(args):
             raise TheoremViolationWitness("forced for the exit-code test")
 
-        monkeypatch.setitem(cli._COMMANDS, "jac", boom)
+        monkeypatch.setitem(cli._COMMANDS, "jac", (boom, *cli._COMMANDS["jac"][1:]))
         assert main(["jac", "x", "y"]) == 4
         assert "internal contradiction" in capsys.readouterr().err
 
@@ -574,7 +583,7 @@ class TestExitCodes:
         def boom(args):
             raise AbhyankarMohViolation("forced for the exit-code test")
 
-        monkeypatch.setitem(cli._COMMANDS, "rectify", boom)
+        monkeypatch.setitem(cli._COMMANDS, "rectify", (boom, *cli._COMMANDS["rectify"][1:]))
         assert main(["rectify", "x", "0"]) == 4
         assert "internal contradiction" in capsys.readouterr().err
 
@@ -728,7 +737,7 @@ class TestSubprocess:
         # python -O strips assert statements; the checks must still refuse.
         script = "\n".join([
             "import importlib, sys",
-            "from kellerkit import BiPoly, PolyMap, cli",
+            "from kellerkit import AffineFactor, BiPoly, KellerReport, PolyMap, cli",
             "setattr(importlib.import_module('kellerkit.%s'), %r, %s)" % (module, attr, fake),
             "sys.exit(cli.main(%r))" % (argv,),
         ])

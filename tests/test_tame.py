@@ -10,6 +10,7 @@ from kellerkit import (
     BiPoly,
     ElementaryFactor,
     Factorization,
+    KellerReport,
     NotAutomorphism,
     PolyMap,
     PreconditionViolated,
@@ -25,7 +26,7 @@ from kellerkit import (
 from kellerkit import tame
 from kellerkit.tame import _peel, apply_factors
 
-from conftest import draw_tame_word, random_bipoly, random_unipoly
+from conftest import compose_uni, draw_tame_word, random_bipoly, random_unipoly
 
 
 def x():
@@ -177,7 +178,7 @@ class TestElementaryFactor:
         p, q = UniPoly({1: 1}), UniPoly({3: 2})
         ep, eq = E.apply((p, q))
         assert eq == q
-        assert ep == p + E.shift.compose(q)
+        assert ep == p + compose_uni(E.shift, q)
 
     def test_render_and_json(self):
         E = ElementaryFactor("second", UniPoly({2: 1}))
@@ -292,6 +293,21 @@ class TestInvertLowDegree:
         with pytest.raises(PreconditionViolated) as exc:
             invert_low_degree(H)
         assert exc.value.condition == "DegreeTooHigh"
+
+    @pytest.mark.parametrize("attr,fake,H,match", [
+        ("is_keller", lambda H: KellerReport(BiPoly.one(), True),
+         PolyMap(x(), BiPoly.one()), "constant component"),
+        ("_affine", lambda f, g: AffineFactor(1, 0, 0, 2),
+         PolyMap(x() + y() ** 2, y()), "failed to fix the second coordinate"),
+        ("is_keller", lambda H: KellerReport(BiPoly.one(), True),
+         PolyMap(x() * y(), y()), "triangular"),
+    ], ids=["constant_component", "normalization", "triangular"])
+    def test_failed_check_is_a_theorem_violation(self, monkeypatch, attr, fake, H, match):
+        # Each check patched to fail: the gate opened for a map that is not
+        # Keller, or the completion A1 replaced by a wrong one.
+        monkeypatch.setattr(tame, attr, fake)
+        with pytest.raises(TheoremViolationWitness, match=match):
+            invert_low_degree(H)
 
     def test_random_elementary_after_affine(self, rng):
         # E o A keeps the second component affine.
@@ -432,6 +448,82 @@ class TestPeel:
 
     def test_map_with_unlike_leading_forms_stops(self):
         assert _peel(x() ** 2, y() ** 2) == ((), (x() ** 2, y() ** 2), False)
+
+    @pytest.mark.parametrize("cls", [UniPoly, BiPoly])
+    def test_degree_drop_matches_the_leading_form_rule(self, rng, cls):
+        """_peel decides each step by the degree drop; the same factors,
+        residual and verdict as comparing leading forms first, on tame pairs,
+        random pairs, and pairs whose leading terms agree but whose leading
+        forms differ."""
+        seen = set()
+        for seed in range(150):
+            if cls is UniPoly:
+                low = (random_unipoly(rng, 1, 4), random_unipoly(rng, 3, 4))
+            else:
+                low = (random_bipoly(rng, 1, 4), random_bipoly(rng, 2, 4))
+            word = random_tame(seed, rng.randint(0, 3), 3, 3, affine_probability=0)
+            pairs = [apply_factors(word, low), (low[1], low[1] ** 2 + low[0])]
+            if cls is BiPoly:
+                pairs += [_unlike_leading_forms(rng), _unlike_leading_forms(rng)[::-1]]
+            for a, b in pairs:
+                got = _peel(a, b)
+                assert got == _peel_by_leading_forms(a, b)
+                seen.add((got[2], len(got[0]) > 0))
+        assert (True, True) in seen
+        if cls is BiPoly:
+            assert (False, True) in seen and (False, False) in seen
+
+
+def _leading_form(p):
+    """The homogeneous part of p of top total degree."""
+    d = p.total_degree()
+    deg = (lambda k: k) if isinstance(p, UniPoly) else sum
+    return type(p)({k: c for k, c in p.terms() if deg(k) == d})
+
+
+def _peel_by_leading_forms(a, b):
+    """Degree reduction that compares leading forms before it subtracts,
+    and asserts the drop afterwards: the rule _peel replaced."""
+    peeled = []
+    while True:
+        da, db = a.total_degree(), b.total_degree()
+        if min(da, db) <= 1:
+            return tuple(peeled), (a, b), True
+        first = da > db
+        hi, lo, dh, dl = (a, b, da, db) if first else (b, a, db, da)
+        if dh % dl:
+            return tuple(peeled), (a, b), False
+        d = dh // dl
+        power = lo**d
+        lam = Fraction(hi.leading_term()[1]) / power.leading_term()[1]
+        if _leading_form(hi) != _leading_form(power) * lam:
+            return tuple(peeled), (a, b), False
+        reduced = hi - power * lam
+        assert reduced.total_degree() < dh
+        peeled.append(ElementaryFactor("first" if first else "second", UniPoly({d: lam})))
+        a, b = (reduced, b) if first else (a, reduced)
+
+
+def _unlike_leading_forms(rng):
+    """(lo, hi) with hi = c*lo^d plus a term of degree deg(lo)*d below
+    lo^d's leading term, and lower terms: the leading terms agree and the
+    leading forms do not, after an optional reducible step on top."""
+    while True:
+        lo = random_bipoly(rng, rng.randint(2, 3), 4)
+        if lo.total_degree() >= 2 and lo.leading_term()[0][0]:
+            break
+    d = rng.randint(1, 2)
+    power = lo**d
+    (i, j), _ = power.leading_term()
+    hi = power * _nonzero_fraction(rng) + BiPoly({(i - 1, j + 1): rng.choice((-2, 1, 3))})
+    hi = hi + random_bipoly(rng, i + j - 1, 3)
+    if rng.random() < 0.5:  # one valid step before the stop
+        lo = lo + hi**2
+    return lo, hi
+
+
+def _nonzero_fraction(rng):
+    return Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
 
 
 class TestRandomTame:
