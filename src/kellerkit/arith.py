@@ -72,7 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import DegenerateResultant, InvalidLine
 from .kronecker import _cross_packed, cell_bytes, digits, pack, packs, unpack
@@ -189,10 +189,9 @@ class _SparsePoly:
 
     __slots__ = ("_t", "_d")
 
-    def __init__(self, terms: dict | Iterable = ()):
-        items = terms.items() if isinstance(terms, dict) else terms
+    def __init__(self, terms: dict):
         data = {}
-        for key, v in items:
+        for key, v in terms.items():
             k = self._key(key)
             if k is None:
                 raise ValueError("exponents must be non-negative ints, got %r" % (key,))
@@ -399,10 +398,8 @@ class UniPoly(_SparsePoly):
     def __call__(self, value: Coeff) -> Coeff:
         return self.to_bipoly().evaluate(value, 0)
 
-    def to_bipoly(self, axis: str = "x") -> "BiPoly":
-        if axis not in ("x", "y"):
-            raise ValueError("axis must be 'x' or 'y'")
-        return BiPoly._new({(k, 0) if axis == "x" else (0, k): v for k, v in self._t.items()}, self._d)
+    def to_bipoly(self) -> "BiPoly":
+        return BiPoly._new({(k, 0): v for k, v in self._t.items()}, self._d)
 
     def render(self, var: str = "x") -> str:
         return self._render(lambda k: _var_power(var, k))
@@ -505,12 +502,6 @@ class BiPoly(_SparsePoly):
     def on_x_axis(self) -> UniPoly:
         """Restrict to y = 0, as a univariate polynomial in x."""
         return UniPoly._reduce({i: v for (i, j), v in self._t.items() if j == 0}, self._d)
-
-    def as_unipoly_in_x(self) -> UniPoly:
-        """Reinterpret a y-free polynomial as univariate."""
-        if self.degree_y() > 0:
-            raise ValueError("polynomial involves y: %s" % self.render())
-        return self.on_x_axis()
 
     def evaluate(self, a: Coeff, b: Coeff) -> Coeff:
         return Substitution(Fraction(a), Fraction(b)).apply(self)

@@ -175,7 +175,7 @@ def parse_bipoly(text: str) -> BiPoly:
 
 def parse_unipoly(text: str) -> UniPoly:
     """Parse a univariate polynomial in x."""
-    return _Parser(text, ("x",)).parse().as_unipoly_in_x()
+    return _Parser(text, ("x",)).parse().on_x_axis()
 
 
 def factorization_from_json(data: list) -> Factorization:

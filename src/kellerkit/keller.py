@@ -187,9 +187,6 @@ class Certificate:
     def to_json_list(self) -> list:
         return [s.to_json_dict() for s in self.steps]
 
-    def render(self) -> str:
-        return "\n".join(s.render() for s in self.steps)
-
 
 def _cancelling_inverse(word: Factorization, H: PolyMap) -> PolyMap | None:
     """The map of word's inverse when it cancels H symbolically on both

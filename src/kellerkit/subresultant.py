@@ -76,7 +76,10 @@ def _pack_rows(f: list[dict[int, int]], g: list[dict[int, int]]):
 def _prem(f: list[int], g: list[int]) -> list[int]:
     """lc(g)^(deg f - deg g + 1) * f modulo g, in deg f - deg g + 1 steps
     r <- lc(g)*r - lead(r)*g, each one pass that drops the top row, with no
-    zero test; leading zeros are kept."""
+    zero test; leading zeros are kept.  A one-row g, a nonzero constant,
+    divides f: [] at once, not after deg f + 1 passes over f."""
+    if len(g) == 1:
+        return []
     lc, n = g[0], len(f) - len(g)
     tail = g[1:] + [0] * n
     r = f

@@ -164,10 +164,6 @@ class Factorization:
 
     factors: tuple[Factor, ...] = ()
 
-    @classmethod
-    def identity(cls) -> "Factorization":
-        return cls(())
-
     def __len__(self):
         return len(self.factors)
 

@@ -4,7 +4,8 @@ Every assertion is exact symbolic equality of rationals or polynomials;
 there are no tolerances anywhere.  Each criterion is one test, enforces
 its own wall-clock budget, and prints a one-line summary (visible with
 ``pytest -s``; under ``pytest -v`` the test names give the per-criterion
-pass/fail lines).
+pass/fail lines).  One differential test rides along with criterion 5:
+the same proofs with the packed kernels switched off.
 """
 
 import random
@@ -24,6 +25,7 @@ from test_cli import GOLDEN_CASES, GOLDEN_DIR, run_module
 
 from kellerkit import (
     BiPoly,
+    Certificate,
     ElementaryFactor,
     Factorization,
     JacobianNotConstant,
@@ -49,7 +51,9 @@ from kellerkit import (
     similarity_check,
     verify_certificate,
 )
+from kellerkit import arith
 from kellerkit.cli import parse_bipoly, parse_unipoly
+from kellerkit.keller import Inverted
 from kellerkit.tame import AffineFactor
 
 import pytest
@@ -183,18 +187,22 @@ def _random_line(rng):
             return Line(a, b, random_fraction(rng, 4))
 
 
+def _criterion_5_draws(rng, count):
+    """count (automorphism, line) pairs, drawn as criterion 5 draws them."""
+    for _ in range(count):
+        word = draw_tame_word(
+            rng, max_factors=5, max_shift_degree=4, coeff_bound=5, degree_cap=8
+        )
+        yield factorization_to_map(word), _random_line(rng)
+
+
 def test_criterion_5_end_to_end_line_proofs():
     """200 (automorphism, line) pairs through the full pipeline: the
     produced inverse cancels the map exactly on both sides.  For one
     fixed map, twenty different lines all yield the same inverse."""
     start = time.perf_counter()
     rng = random.Random(505)
-    for _ in range(200):
-        word = draw_tame_word(
-            rng, max_factors=5, max_shift_degree=4, coeff_bound=5, degree_cap=8
-        )
-        H = factorization_to_map(word)
-        line = _random_line(rng)
+    for H, line in _criterion_5_draws(rng, 200):
         inv, got_word, cert = prove_line(H, line)
         assert compose_map(inv, H).is_identity()
         assert compose_map(H, inv).is_identity()
@@ -212,6 +220,51 @@ def test_criterion_5_end_to_end_line_proofs():
     inverses = [prove_line(fixed, _random_line(rng))[0] for _ in range(20)]
     assert all(inv == inverses[0] for inv in inverses)
     _finish("criterion 5", "200/200 proofs, 20 lines agree", start, 120)
+
+
+def _tampered(cert):
+    """cert with one shift coefficient of its inverted word changed by 1."""
+    inverted = cert.find(Inverted)
+    factors = list(inverted.word)
+    k, f = next((k, f) for k, f in enumerate(factors) if isinstance(f, ElementaryFactor))
+    factors[k] = ElementaryFactor(f.axis, f.shift + 1)
+    changed = Inverted(Factorization(tuple(factors)))
+    return Certificate(tuple(changed if s is inverted else s for s in cert.steps))
+
+
+def test_line_proofs_agree_with_packing_off(monkeypatch):
+    """The checker is not the only witness for the packed kernels it relies
+    on.  With the size rule patched to never pack, jacobian_det and
+    Substitution run on term pairs, and criterion 5's first 50 draws give
+    the same inverse, word JSON and certificate JSON, and verify_certificate
+    the same verdict on each certificate and on a tampered copy."""
+    calls = {"packed": 0}
+
+    def spy(kernel):
+        def counted(*args):
+            calls["packed"] += 1
+            return kernel(*args)
+        return counted
+
+    def run():
+        out = []
+        for H, line in _criterion_5_draws(random.Random(505), 50):
+            inv, word, cert = prove_line(H, line)
+            out.append((
+                inv, word.to_json_list(), cert.to_json_list(),
+                verify_certificate(cert, H), verify_certificate(_tampered(cert), H),
+            ))
+        return out
+
+    for name in ("pack", "_cross_packed"):
+        monkeypatch.setattr(arith, name, spy(getattr(arith, name)))
+    packed = run()
+    assert calls["packed"] > 0
+    assert all(ok and not tampered_ok for *_, ok, tampered_ok in packed)
+    calls["packed"] = 0
+    monkeypatch.setattr(arith, "packs", lambda cells, m, n: False)
+    assert run() == packed
+    assert calls["packed"] == 0
 
 
 def test_criterion_6_negative_battery():

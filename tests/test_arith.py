@@ -137,6 +137,37 @@ class TestNegInf:
         assert repr(NEG_INF) == "NEG_INF"
 
 
+class TestInputChecks:
+    """The polynomial API refuses what it cannot represent with ValueError."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: UniPoly({-1: 1}),
+        lambda: UniPoly({Fraction(1, 2): 1}),
+        lambda: UniPoly({"2": 1}),
+        lambda: BiPoly({(1, -1): 1}),
+        lambda: BiPoly({(1.0, 0): 1}),
+    ], ids=["uni_negative", "uni_fraction", "uni_str", "bi_negative", "bi_float"])
+    def test_bad_exponent_key(self, make):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            make()
+
+    @pytest.mark.parametrize("p", [UniPoly.x(), BiPoly.y() + 1], ids=["uni", "bi"])
+    def test_constant_value_of_nonconstant(self, p):
+        with pytest.raises(ValueError, match="not constant"):
+            p.constant_value()
+
+    @pytest.mark.parametrize("zero", [UniPoly.zero(), BiPoly.zero()], ids=["uni", "bi"])
+    def test_leading_term_of_zero(self, zero):
+        with pytest.raises(ValueError, match="no leading term"):
+            zero.leading_term()
+
+    @pytest.mark.parametrize("p", [UniPoly.x(), BiPoly.x()], ids=["uni", "bi"])
+    @pytest.mark.parametrize("e", [-1, Fraction(1, 2)], ids=["negative", "fraction"])
+    def test_bad_power(self, p, e):
+        with pytest.raises(ValueError, match="non-negative int"):
+            p**e
+
+
 # ---------------------------------------------------------------------------
 # UniPoly
 # ---------------------------------------------------------------------------
@@ -419,12 +450,6 @@ class TestBiPoly:
     def test_on_x_axis(self):
         p = BiPoly({(2, 0): 1, (1, 1): 5, (0, 0): -2})
         assert p.on_x_axis() == UniPoly({2: 1, 0: -2})
-
-    def test_as_unipoly_in_x(self):
-        p = BiPoly({(3, 0): 2, (0, 0): 1})
-        assert p.as_unipoly_in_x() == UniPoly({3: 2, 0: 1})
-        with pytest.raises(ValueError):
-            BiPoly({(1, 1): 1}).as_unipoly_in_x()
 
     def test_substitute_matches_naive_eval(self, rng):
         for _ in range(12):

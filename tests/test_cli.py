@@ -24,6 +24,7 @@ from kellerkit import (
     BiPoly,
     DenominatorZero,
     ElementaryFactor,
+    EmbeddingReport,
     Factorization,
     KellerKitError,
     KellerReport,
@@ -93,6 +94,20 @@ FAILED_CHECKS = [
                  ["invert", "x + y^2", "y"], id="low_degree_normalization"),
     pytest.param("tame", "is_keller", "lambda H: KellerReport(BiPoly.one(), True)",
                  ["is-auto", "x*y", "y"], id="low_degree_triangular"),
+    # The Keller gate patched open for every caller: a map that fixes the
+    # axis with both degrees 2 reaches fixed_axis_invert's witness.
+    pytest.param("arith", "jacobian_det", "lambda H: BiPoly.one()",
+                 ["prove-line", "x + y^2", "y + y^2", "--line", "0,1,0"],
+                 id="fixed_axis_both_degrees_above_one"),
+    pytest.param("keller", "is_embedding",
+                 "lambda gamma: EmbeddingReport(True, False, UniPoly.x())",
+                 ["prove-line", "x + y^2", "y", "--line", "0,1,0"], id="prove_line_immersion"),
+    # rectify's two AbhyankarMohViolations, past a degree reduction patched
+    # to stop where the theorem says an embedding cannot.
+    pytest.param("embedding", "_peel", "lambda p, q: ((), (p, q), False)",
+                 ["rectify", "x^2", "x"], id="rectify_reduction_stopped"),
+    pytest.param("embedding", "_peel", "lambda p, q: ((), (p * p, UniPoly.one()), True)",
+                 ["rectify", "x^2", "x"], id="rectify_constant_component"),
 ]
 
 # ---------------------------------------------------------------------------
@@ -579,6 +594,37 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("internal contradiction: ")
 
+    # The two negative answers that can follow a passed Keller gate, reached
+    # by patching the check in front of them.  These pin today's answers.
+    def test_not_injective_on_line_is_two(self, capsys, monkeypatch):
+        report = EmbeddingReport(False, True, BiPoly.x())
+        monkeypatch.setattr("kellerkit.keller.is_embedding", lambda gamma: report)
+        argv = ["prove-line", "x + y^2", "y", "--line", "0,1,0"]
+        assert main(argv + ["--json"]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out) == {
+            "error": "NotInjectiveOnLine",
+            "message": "restriction to the line is not injective",
+            "witness": "x",
+        }
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out == "NotInjectiveOnLine: restriction to the line is not injective\n"
+
+    @pytest.mark.parametrize("command", ["is-auto", "invert"])
+    def test_reduction_failed_is_two(self, capsys, monkeypatch, command):
+        monkeypatch.setattr("kellerkit.tame._peel", lambda a, b: ((), (a, b), False))
+        assert main([command, "x + y^2", "y", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out) == {
+            "automorphism": False,
+            "reason": "ReductionFailed",
+            "residual": {"first": "y^2 + x", "second": "y"},
+            "jacobian": "1",
+        }
+
     def test_abhyankar_moh_is_four(self, capsys, monkeypatch):
         def boom(args):
             raise AbhyankarMohViolation("forced for the exit-code test")
@@ -732,12 +778,25 @@ class TestSubprocess:
         assert proc.returncode == 3
         assert proc.stdout in (None, b"")
 
+    def test_constant_divisor_at_degree_one_million(self):
+        # Each run takes the gcd, or the resultant, of a degree-999,999 row
+        # against a constant one; a pseudo-division by a constant that
+        # walked the dividend once per degree took minutes.
+        proc = run_module(["embed-check", "x^1000000", "x"])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == b"injective: true\nimmersion: true\n"
+        proc = run_module(["prove-line", "x + y^1000000", "y", "--line", "1,0,0"])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.startswith(b"inverse: (-y^1000000 + x, y)\n")
+        assert b"embedding_verified: injective=true immersion=true\n" in proc.stdout
+
     @pytest.mark.parametrize("module,attr,fake,argv", FAILED_CHECKS)
     def test_failed_certified_check_under_optimize(self, module, attr, fake, argv):
         # python -O strips assert statements; the checks must still refuse.
         script = "\n".join([
             "import importlib, sys",
-            "from kellerkit import AffineFactor, BiPoly, KellerReport, PolyMap, cli",
+            "from kellerkit import (AffineFactor, BiPoly, EmbeddingReport, KellerReport, PolyMap,",
+            "                       UniPoly, cli)",
             "setattr(importlib.import_module('kellerkit.%s'), %r, %s)" % (module, attr, fake),
             "sys.exit(cli.main(%r))" % (argv,),
         ])

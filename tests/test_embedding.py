@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kellerkit import (
+    AbhyankarMohViolation,
     AffineFactor,
     BiPoly,
     ElementaryFactor,
@@ -68,7 +69,7 @@ class TestDifferenceQuotient:
         for _ in range(15):
             p = random_unipoly(rng, 6, 5)
             lhs = x_minus_y * difference_quotient(p)
-            rhs = p.to_bipoly("x") - p.to_bipoly("y")
+            rhs = p.to_bipoly() - BiPoly({(0, k): c for k, c in p.terms()})
             assert lhs == rhs
 
     def test_leading_structure(self, rng):
@@ -404,6 +405,20 @@ class TestRectify:
         M = factorization_to_map(phi)
         Minv = factorization_to_map(factorization_inverse(phi))
         assert compose_map(M, Minv).is_identity()
+
+    @pytest.mark.parametrize("peeled,match", [
+        (lambda p, q: ((), (p, q), False), "not a multiple"),
+        (lambda p, q: ((), (UniPoly.one(), UniPoly.one()), True), "both components constant"),
+        (lambda p, q: ((), (p * p, UniPoly.one()), True), "the other of degree >= 2"),
+    ], ids=["reduction_stopped", "both_constant", "one_constant"])
+    def test_abhyankar_moh_violation(self, monkeypatch, peeled, match):
+        # The degree reduction patched to end where the theorem says an
+        # embedding cannot: the violation carries the state it reached.
+        monkeypatch.setattr(embedding, "_peel", peeled)
+        gamma = curve({2: 1}, {1: 1})
+        with pytest.raises(AbhyankarMohViolation, match=match) as exc:
+            rectify(gamma)
+        assert exc.value.state == peeled(gamma.first, gamma.second)[1]
 
     def _check_straightens(self, gamma):
         phi = rectify(gamma)

@@ -11,9 +11,11 @@ from kellerkit import (
     BiPoly,
     Certificate,
     ElementaryFactor,
+    EmbeddingReport,
     Factorization,
     JacobianNotConstant,
     Line,
+    NotInjectiveOnLine,
     PolyMap,
     PreconditionViolated,
     TheoremViolationWitness,
@@ -26,7 +28,7 @@ from kellerkit import (
     prove_line,
     verify_certificate,
 )
-from kellerkit import keller
+from kellerkit import arith, keller
 from kellerkit.keller import (
     AxisFixed,
     DegreeCollapse,
@@ -408,3 +410,36 @@ class TestFailedCertifiedCheck:
         monkeypatch.setattr(keller, "_cancelling_inverse", lambda word, H: None)
         with pytest.raises(TheoremViolationWitness, match="inverse word failed"):
             fixed_axis_invert(PolyMap(x() + y() ** 3, 2 * y()))
+
+    def test_fixed_axis_both_degrees_above_one(self, monkeypatch):
+        # Fixes the axis with both degrees 2; only the Keller gate, patched
+        # open for every caller, stands between it and the witness (its
+        # Jacobian is 1 + 2y).
+        monkeypatch.setattr(arith, "jacobian_det", lambda H: BiPoly.one())
+        with pytest.raises(TheoremViolationWitness, match="both degrees above 1") as exc:
+            fixed_axis_invert(PolyMap(x() + y() ** 2, y() + y() ** 2))
+        details = exc.value.details
+        assert details["degrees"] == [2, 2]
+        assert details["scaled_axis_point"] == [[1, 1], [0, 1]]
+        assert details["axis_point_in_n_g"] is False
+        assert details["similarity"]["similar"] is False
+
+    def test_prove_line_immersion(self, monkeypatch):
+        report = EmbeddingReport(True, False, UniPoly.x())
+        monkeypatch.setattr(keller, "is_embedding", lambda gamma: report)
+        with pytest.raises(TheoremViolationWitness, match="immersion test") as exc:
+            prove_line(shear(), Line(0, 1, 0))
+        assert exc.value.details["witness"] == "x"
+        assert exc.value.details["gamma"] == {"first": "x", "second": "0"}
+
+
+class TestNegativeAnswers:
+    """The negative answer that follows a passed Keller gate, reached by
+    patching the embedding test; these pin today's answer."""
+
+    def test_not_injective_on_line(self, monkeypatch):
+        report = EmbeddingReport(False, True, BiPoly.x())
+        monkeypatch.setattr(keller, "is_embedding", lambda gamma: report)
+        with pytest.raises(NotInjectiveOnLine) as exc:
+            prove_line(shear(), Line(0, 1, 0))
+        assert exc.value.witness == BiPoly.x()

@@ -192,7 +192,7 @@ class TestElementaryFactor:
 
 class TestFactorization:
     def test_identity_word(self):
-        w = Factorization.identity()
+        w = Factorization()
         assert len(w) == 0
         assert factorization_to_map(w).is_identity()
         assert w.render() == "identity"
@@ -409,6 +409,17 @@ class TestDecideAutomorphism:
     def test_render(self):
         result = decide_automorphism(PolyMap(x() ** 2, y()))
         assert "JacobianNotConstant" in result.render()
+
+    def test_reduction_failed(self, monkeypatch):
+        # Not reachable on a Keller map of degree <= 100 (Moh); patched to
+        # pin today's negative answer.
+        monkeypatch.setattr(tame, "_peel", lambda a, b: ((), (a, b), False))
+        H = PolyMap(x() + y() ** 2, y())
+        result = decide_automorphism(H)
+        assert isinstance(result, NotAutomorphism)
+        assert result.reason == "ReductionFailed"
+        assert result.residual == H
+        assert result.jacobian == BiPoly.one()
 
     def test_word_that_fails_to_recompose(self, monkeypatch):
         monkeypatch.setattr(tame, "factorization_to_map", lambda word: PolyMap.identity())
