@@ -184,8 +184,8 @@ class _SparsePoly:
     """Ring operations shared by UniPoly and BiPoly, on the integer form of
     the module docstring: nonzero int numerators _t by exponent key, over
     the denominator _d.  A subclass sets _CONST, the key of the constant
-    term; _key, which validates one key; _deg, the total degree of a key;
-    and _order, its rank in the canonical term order."""
+    term; _key, which validates one key; _order, its rank in the canonical
+    term order; and total_degree."""
 
     __slots__ = ("_t", "_d")
 
@@ -251,9 +251,6 @@ class _SparsePoly:
         if not self.is_constant():
             raise ValueError("polynomial is not constant: %s" % self.render())
         return _rat(self._t.get(self._CONST, 0), self._d)
-
-    def total_degree(self):
-        return max(map(self._deg, self._t)) if self._t else NEG_INF
 
     def terms(self) -> list:
         """Terms in canonical order, highest first."""
@@ -346,13 +343,16 @@ class UniPoly(_SparsePoly):
     def _key(k):
         return k if isinstance(k, int) and k >= 0 else None
 
-    _deg = _order = int  # an exponent is its own degree and rank
+    _order = int  # an exponent is its own rank
 
     @classmethod
     def x(cls) -> "UniPoly":
         return cls._new({1: 1})
 
-    degree = _SparsePoly.total_degree
+    def degree(self):
+        return max(self._t) if self._t else NEG_INF
+
+    total_degree = degree
 
     def lc(self) -> Coeff:
         """Leading coefficient; 0 for the zero polynomial."""
@@ -459,7 +459,6 @@ class BiPoly(_SparsePoly):
             return (i, j)
         return None
 
-    _deg = staticmethod(lambda key: key[0] + key[1])
     _order = staticmethod(lambda key: (key[0] + key[1], key[0]))
 
     @classmethod
@@ -469,6 +468,9 @@ class BiPoly(_SparsePoly):
     @classmethod
     def y(cls) -> "BiPoly":
         return cls._new({(0, 1): 1})
+
+    def total_degree(self):
+        return max([i + j for i, j in self._t]) if self._t else NEG_INF
 
     def degree_x(self):
         return max(i for i, _ in self._t) if self._t else NEG_INF

@@ -7,7 +7,8 @@ valid over any extension field, not just the rationals:
 * injectivity fails exactly when the difference quotients
   D_p(s, t) = (p(s) - p(t)) / (s - t) and D_q share a zero over the
   algebraic closure, decided by one subresultant sequence on rows in y
-  packed into ints straight off p's and q's numerators (subresultant.py).
+  packed into ints straight off p's and q's numerators, whose suffix sums
+  also give the cell bound (subresultant.py).
   Its output is unpacked once: the resultant, or for a shared component
   the last remainder, whose primitive part is the gcd witness.
   Degenerate components are decided from degrees, and a BiPoly quotient
@@ -26,7 +27,6 @@ being silently assumed away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .arith import (
     BiPoly,
@@ -76,6 +76,16 @@ def _quotient_rows(n: list[int], bits: int) -> list[int]:
     return rows
 
 
+def _row_squares(n: list[int]) -> int:
+    """The sum of the squared 1-norms of _quotient_rows(n, bits)'s rows,
+    suffix sums of |n_k|: all that subresultant._cells reads of them."""
+    s = total = 0
+    for c in n[:0:-1]:
+        s += abs(c)
+        total += s * s
+    return total
+
+
 @dataclass(frozen=True)
 class Check:
     """Boolean verdict plus a witness polynomial when the answer is no."""
@@ -116,13 +126,15 @@ def is_injective_param(gamma: Parametrization) -> Check:
     if dp == 1 or dq == 1:
         # A nonzero constant quotient has no zeros at all, shared or not.
         return Check(True, None)
-    n = [[w._t.get(k, 0) for k in range(d + 1)] for w, d in ((p, dp), (q, dq))]
-    cells = _cells(*[list(accumulate(map(abs, c[:0:-1]))) for c in n])
-    h, res = _subresultants(*[_quotient_rows(c, 8 * cells[0]) for c in n], cells)
+    a = [p._t.get(k, 0) for k in range(dp + 1)]
+    b = [q._t.get(k, 0) for k in range(dq + 1)]
+    cells = _cells(dp - 1, _row_squares(a), dq - 1, _row_squares(b))
+    bits = 8 * cells[0]
+    h, res = _subresultants(_quotient_rows(a, bits), _quotient_rows(b, bits), cells)
     if len(h) > 1:
         return Check(False, normalize_leading(_primitive_part(h, cells[1])))
     res = digits(res, cells[1])
-    if res.keys() == {0}:
+    if len(res) == 1 and 0 in res:
         return Check(True, None)
     return Check(False, UniPoly._new(res).monic())
 

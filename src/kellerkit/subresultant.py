@@ -15,16 +15,22 @@ cell_bytes(isqrt(M_0^2) + 1) bytes a nonzero one never packs to 0 and
 unpacks exactly; a remainder before its division may exceed the bound
 and is never tested.  A long first pseudo-division (m - n >= 2) runs at
 the smaller cells of M_(n-1), the bound on its output, which moves with
-g to M_0's cells after it.  Callers read both answers off one run: the
-resultant, or the last remainder, which arith._primitive_part turns into
-the gcd's primitive part.  Rows in Z[x] are {i: n} term dicts, as in
-BiPoly._t; gcd_univariate's rows are constants, ints already.
+g to M_0's cells after it.  _cells reads only m, n, sf and sg, which
+embedding.is_injective_param sums straight off the curve.  Callers read
+both answers off one run: the resultant, or the last remainder, which
+arith._primitive_part turns into the gcd's primitive part.  Rows in Z[x]
+are {i: n} term dicts, as in BiPoly._t; gcd_univariate's rows are
+constants, ints already.
+
+Each pseudo-division (_prem) by a g of k rows updates only the window
+of k - 1 rows under g at each of its d + 1 steps, d = m - n, and gives a
+row its power of lc(g) once, as it enters the window: (d + 1)(k - 1) + d
+row operations, so a short divisor costs O(d), not O(d^2).
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from operator import mul
 
 from .kronecker import cell_bytes, digits
 
@@ -48,14 +54,13 @@ def _zquo(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return q
 
 
-def _cells(f_norms: list[int], g_norms: list[int]) -> tuple[int, int]:
+def _cells(m: int, sf: int, n: int, sg: int) -> tuple[int, int]:
     """(first, last): nb for the sequence of f and g, in either order, from
-    the 1-norms of their rows: last holds M_0 and a sign bit, first M_(n-1)
-    when the first pseudo-division is long, else M_0 too."""
-    if len(f_norms) < len(g_norms):
-        f_norms, g_norms = g_norms, f_norms
-    m, n = len(f_norms) - 1, len(g_norms) - 1
-    sf, sg = sum(map(mul, f_norms, f_norms)), sum(map(mul, g_norms, g_norms))
+    their degrees in y, m and n, and the sums sf and sg of their rows'
+    squared 1-norms: last holds M_0 and a sign bit, first M_(n-1) when the
+    first pseudo-division is long, else M_0 too."""
+    if m < n:
+        m, sf, n, sg = n, sg, m, sf
     last = cell_bytes(isqrt(sf**n * sg**m) + 1)
     return (cell_bytes(isqrt(sf * sg ** (m - n + 1)) + 1) if m - n > 1 else last), last
 
@@ -68,25 +73,32 @@ def _pack(terms, nb: int) -> int:
 
 def _pack_rows(f: list[dict[int, int]], g: list[dict[int, int]]):
     """(F, G, cells): Z[x] rows f and g packed at _cells' first."""
-    cells = _cells(*[[sum(map(abs, row.values())) for row in w] for w in (f, g)])
+    sf, sg = (sum(sum(map(abs, row.values())) ** 2 for row in w) for w in (f, g))
+    cells = _cells(len(f) - 1, sf, len(g) - 1, sg)
     F, G = ([_pack(row.items(), cells[0]) for row in w] for w in (f, g))
     return F, G, cells
 
 
 def _prem(f: list[int], g: list[int]) -> list[int]:
-    """lc(g)^(deg f - deg g + 1) * f modulo g, in deg f - deg g + 1 steps
-    r <- lc(g)*r - lead(r)*g, each one pass that drops the top row, with no
-    zero test; leading zeros are kept.  A one-row g, a nonzero constant,
-    divides f: [] at once, not after deg f + 1 passes over f."""
-    if len(g) == 1:
+    """lc(g)^(d + 1) * f modulo g, d = len(f) - len(g), with no zero test;
+    leading zeros are kept.  Of each step r <- lc(g)*r - lead(r)*g only
+    the window of k - 1 rows under g's tail, k = len(g), is computed: a
+    row below it would only be multiplied by lc(g).  Row s + k - 1 enters
+    the window for step s times lc(g)^s, a running power, so every value
+    equals that of d + 1 full passes, in (d + 1)*(k - 1) + d row
+    operations.  The window after the last step is the remainder.  A
+    one-row g, a nonzero constant, divides f: [] at once."""
+    k = len(g)
+    if k == 1:
         return []
-    lc, n = g[0], len(f) - len(g)
-    tail = g[1:] + [0] * n
-    r = f
-    for _ in range(n + 1):
-        a = r[0]
-        r = [lc * u - a * v for u, v in zip(r[1:], tail)]
-    return r
+    lc, tail, e = g[0], g[1:], 1
+    a, w = f[0], f[1:k]
+    for u in f[k:]:
+        e *= lc
+        w = [lc * x - a * v for x, v in zip(w, tail)]
+        w.append(e * u)
+        a = w.pop(0)
+    return [lc * x - a * v for x, v in zip(w, tail)]
 
 
 def _subresultants(f: list[int], g: list[int], cells: tuple[int, int]):

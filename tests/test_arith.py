@@ -1286,6 +1286,19 @@ def _sylvester_bound_bits(p: BiPoly, q: BiPoly) -> int:
     return (isqrt(m2) + 1).bit_length()
 
 
+def _prem_full_pass(f, g):
+    """lc(g)^(d + 1) * f modulo g in d + 1 passes that each rebuild every
+    remaining row, d = len(f) - len(g): the reference for the windowed
+    subresultant._prem."""
+    lc, n = g[0], len(f) - len(g)
+    tail = g[1:] + [0] * n
+    r = f
+    for _ in range(n + 1):
+        a = r[0]
+        r = [lc * u - a * v for u, v in zip(r[1:], tail)]
+    return r
+
+
 class TestPackedSequence:
     """The subresultant sequence on rows packed into ints, through
     resultant_y, gcd_bivariate and gcd_univariate, against the Sylvester
@@ -1363,8 +1376,42 @@ class TestPackedSequence:
         assert digits(top - 1 - top * X + (1 - top) * X**2, k) == {0: top - 1, 1: -top, 2: 1 - top}
 
     def test_cells_are_symmetric(self):
-        # The order of f and g does not change the bound.
-        assert _cells([3, 5, 7, 2], [4]) == _cells([4], [3, 5, 7, 2])
+        # The order of f and g does not change the bound: rows of 1-norms
+        # 3, 5, 7, 2 and a row of 1-norm 4.
+        assert _cells(3, 87, 0, 16) == _cells(0, 16, 3, 87)
+
+    def test_windowed_prem_matches_full_pass(self, rng):
+        """The window against d + 1 passes over every remaining row, on
+        rows with zero and negative entries; f = u*g + r has remainder
+        lc^(d + 1)*r, leading zero rows of r kept."""
+        def row():
+            return rng.choice((0, 0, 1, -1, rng.randint(-2**70, 2**70)))
+
+        for d in range(41):
+            for k in range(2, 7):
+                g = [rng.choice((1, -1)) * rng.randint(1, 2**70)] + [row() for _ in range(k - 1)]
+                f = [row() for _ in range(d + k)]
+                assert subresultant._prem(f, g) == _prem_full_pass(f, g)
+                u, r = [row() for _ in range(d + 1)], [0] * rng.randint(1, k - 1)
+                r += [row() for _ in range(k - 1 - len(r))]
+                f = [sum(u[i] * g[s - i] for i in range(max(0, s - k + 1), min(s, d) + 1))
+                     for s in range(d + k)]
+                f[d + 1 :] = [a + b for a, b in zip(f[d + 1 :], r)]
+                copy = list(f)
+                got = subresultant._prem(f, g)
+                assert got == _prem_full_pass(f, g) == [g[0] ** (d + 1) * c for c in r]
+                assert f == copy
+
+    def test_short_divisor_is_not_quadratic(self):
+        # A two-row divisor under a 2001-row dividend: full passes rebuilt
+        # every remaining row at each of 2000 steps and took about 30
+        # times as long as the window, which updates one row per step.
+        x = UniPoly.x()
+        f, g = x**2000 + 1, 2 * x + 1
+        start = time.perf_counter()
+        for _ in range(10):
+            assert gcd_univariate(f, g) == UniPoly.one()
+        assert time.perf_counter() - start < 0.5
 
     def test_inexact_division_raises(self):
         # A remainder off by one is no longer divisible by beta = -lc*c^d.

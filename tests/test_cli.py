@@ -790,6 +790,19 @@ class TestSubprocess:
         assert proc.stdout.startswith(b"inverse: (-y^1000000 + x, y)\n")
         assert b"embedding_verified: injective=true immersion=true\n" in proc.stdout
 
+    def test_short_divisor_at_degree_one_thousand(self):
+        # The resultant of a 1000-row quotient and a two-row one.  A
+        # pseudo-division that rebuilt every row at each of its 999 steps
+        # took about 30 times as long as the window, well past the
+        # timeout.  Most of the output is the degree-998 witness.
+        proc = subprocess.run(
+            [sys.executable, "-m", "kellerkit", "embed-check", "x^1000", "x^2 + x"],
+            capture_output=True,
+            timeout=15,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.startswith(b"injective: false\nimmersion: true\nwitness: x^998 + ")
+
     @pytest.mark.parametrize("module,attr,fake,argv", FAILED_CHECKS)
     def test_failed_certified_check_under_optimize(self, module, attr, fake, argv):
         # python -O strips assert statements; the checks must still refuse.

@@ -1,6 +1,7 @@
 """Line embeddings: difference quotients, the two tests, rectification."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from kellerkit import (
 )
 from kellerkit import arith, embedding
 from kellerkit.arith import _rows, normalize_leading
-from kellerkit.embedding import Check, _quotient_rows
+from kellerkit.embedding import Check, _quotient_rows, _row_squares
 from kellerkit.kronecker import cell_bytes, digits
 from kellerkit.tame import apply_factors
 
@@ -132,6 +133,19 @@ class TestInjectivity:
         # both s + t = 0 and s + t + 1 = 0.
         assert is_injective_param(curve({2: 1}, {2: 1, 1: 1})).ok
 
+    def test_short_divisor_under_a_long_quotient(self):
+        # (t^500, t^2 + t): D_q = y + (x + 1) has two rows in y and D_p
+        # 500, so the resultant is D_p(x, -1 - x) up to sign.  A
+        # pseudo-division that rebuilt every row at each of its 499 steps
+        # took about 20 times as long as the window, past the budget.
+        x = UniPoly.x()
+        start = time.perf_counter()
+        check = is_injective_param(Parametrization(x**500, x**2 + x))
+        assert time.perf_counter() - start < 1.2
+        quotient, remainder = divmod(x**500 - (x + 1) ** 500, 2 * x + 1)
+        assert not check.ok and not remainder
+        assert check.witness == quotient.monic()
+
     def test_affine_images_of_axis(self, rng):
         for _ in range(10):
             a = random_unipoly(rng, 1, 4, nonzero=True)
@@ -221,6 +235,7 @@ class TestRowsFromTheCurve:
                 n = [p._t.get(k, 0) for k in range(p.degree() + 1)]
                 nb = cell_bytes(max(map(abs, n)))
                 sliced = [digits(v, nb) for v in _quotient_rows(n, 8 * nb)]
+                assert _row_squares(n) == sum(sum(map(abs, row.values())) ** 2 for row in sliced)
                 assert [{i: c * d for i, c in row.items()} for row in sliced] == [
                     {i: c * p._d for i, c in row.items()} for row in rows
                 ]
