@@ -76,7 +76,7 @@ from typing import Union
 
 from .errors import DegenerateResultant, InvalidLine
 from .kronecker import _cross_packed, cell_bytes, digits, pack, packs, unpack
-from .subresultant import _pack_rows, _subresultants, _zquo
+from .subresultant import _pack_rows, _subresultants
 
 Coeff = Union[int, Fraction]
 
@@ -316,6 +316,14 @@ class _SparsePoly:
             raise ValueError("exponent must be a non-negative int")
         return _power({0: self.one(), 1: self}, e, type(self).__mul__)
 
+    def monic(self):
+        """self over its leading coefficient in the canonical term order:
+        the numerators over the leading numerator, whatever _d."""
+        if not self:
+            return self
+        lc = self._t[max(self._t, key=self._order)]
+        return self._reduce(self._t if lc > 0 else {k: -v for k, v in self._t.items()}, abs(lc))
+
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, self.render())
 
@@ -386,14 +394,6 @@ class UniPoly(_SparsePoly):
 
     def derivative(self) -> "UniPoly":
         return UniPoly._reduce({k - 1: k * v for k, v in self._t.items() if k > 0}, self._d)
-
-    def monic(self) -> "UniPoly":
-        """self over its leading coefficient: the numerators over the
-        leading numerator, whatever _d."""
-        if not self:
-            return self
-        lc = self._t[max(self._t)]
-        return self._reduce(self._t if lc > 0 else {k: -v for k, v in self._t.items()}, abs(lc))
 
     def __call__(self, value: Coeff) -> Coeff:
         return self.to_bipoly().evaluate(value, 0)
@@ -506,7 +506,7 @@ class BiPoly(_SparsePoly):
         return UniPoly._reduce({i: v for (i, j), v in self._t.items() if j == 0}, self._d)
 
     def evaluate(self, a: Coeff, b: Coeff) -> Coeff:
-        return Substitution(Fraction(a), Fraction(b)).apply(self)
+        return Substitution(_norm_coeff(a), _norm_coeff(b)).apply(self)
 
     def render(self) -> str:
         return self._render(
@@ -868,9 +868,11 @@ def restrict_to_line(H: PolyMap, line: Line):
 # of the contents is the gcd.  Contents are taken over Q[x] by
 # gcd_univariate, monic, so their numerators are primitive (their gcd
 # divides the leading one, the denominator) and by Gauss's lemma divide
-# the rows in Z[x].  embedding.is_injective_param packs rows straight off
-# the curve and never divides: vanishing, degree, monic form and primitive
-# part do not change under a positive scaling.
+# the rows in Z[x]: _primitive_part divides each row by them with
+# UniPoly.__divmod__ and checks for a zero remainder and an integer
+# quotient.  embedding.is_injective_param packs rows straight off the
+# curve and never clears a denominator: vanishing, degree, monic form and
+# primitive part do not change under a positive scaling.
 # ---------------------------------------------------------------------------
 
 
@@ -895,11 +897,17 @@ def _content(rows: list[dict[int, int]]) -> UniPoly:
 
 
 def _primitive_part(h: list[int], nb: int) -> BiPoly:
-    """The rows h, packed at nb, over their content, as a BiPoly."""
+    """The rows h, packed at nb, over their content, as a BiPoly; raises
+    ValueError unless the content divides every row in Z[x], so a row is
+    never truncated."""
     rows = [digits(v, nb) for v in h]
     c = _content(rows)
     if c.degree():
-        rows = [_zquo(row, c._t) for row in rows]
+        c = UniPoly._new(c._t)
+        quotients = [divmod(UniPoly._new(row), c) for row in rows]
+        if any(r or q._d != 1 for q, r in quotients):
+            raise ValueError("inexact polynomial division")
+        rows = [q._t for q, _ in quotients]
     k = len(rows) - 1
     return BiPoly._new({(i, k - j): n for j, row in enumerate(rows) for i, n in row.items()})
 
@@ -919,19 +927,14 @@ def resultant_y(p: BiPoly, q: BiPoly) -> UniPoly:
     return UniPoly._reduce(digits(s, cells[1]) if len(h) == 1 else {}, Dp**dq * Dq**dp)
 
 
-def normalize_leading(p: BiPoly) -> BiPoly:
-    """Scale so the graded-lex leading coefficient is 1."""
-    return p * _cdiv(1, p.leading_term()[1]) if p else p
-
-
 def gcd_bivariate(a: BiPoly, b: BiPoly) -> BiPoly:
     """Greatest common divisor in Q[x, y], graded-lex leading coefficient 1."""
     if a.is_zero():
-        return normalize_leading(b)
+        return b.monic()
     if b.is_zero():
-        return normalize_leading(a)
+        return a.monic()
     f, g = _rows(a)[0], _rows(b)[0]
     F, G, cells = _pack_rows(f, g)
     h = _primitive_part(_subresultants(F, G, cells)[0], cells[1])
     c = _content(f + g)
-    return normalize_leading(h * c.to_bipoly() if c.degree() else h)
+    return (h * c.to_bipoly() if c.degree() else h).monic()

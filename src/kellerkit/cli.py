@@ -363,6 +363,10 @@ def _cmd_gen_auto(args):
 # Each command's handler, its help and its positionals, name -> help
 # (None for none).
 _MAP_ARGS = dict.fromkeys(("first", "second"))
+_CURVE_ARGS = {
+    "first": "first component, a polynomial in x (the parameter)",
+    "second": "second component",
+}
 _COMMANDS = {
     "jac": (_cmd_jac, "Jacobian determinant and Keller test", {
         "first": "first component, a polynomial in x and y", "second": "second component",
@@ -375,11 +379,8 @@ _COMMANDS = {
     }),
     "is-auto": (_cmd_is_auto, "recognize a tame automorphism", _MAP_ARGS),
     "invert": (_cmd_invert, "invert a tame automorphism", _MAP_ARGS),
-    "embed-check": (_cmd_embed_check, "injectivity/immersion of a curve", {
-        "first": "first component, a polynomial in x (the parameter)",
-        "second": "second component",
-    }),
-    "rectify": (_cmd_rectify, "straighten an embedded line", _MAP_ARGS),
+    "embed-check": (_cmd_embed_check, "injectivity/immersion of a curve", _CURVE_ARGS),
+    "rectify": (_cmd_rectify, "straighten an embedded line", _CURVE_ARGS),
     "prove-line": (
         _cmd_prove_line, "certified inverse of a Keller map injective on a line", _MAP_ARGS,
     ),

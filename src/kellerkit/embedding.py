@@ -35,7 +35,6 @@ from .arith import (
     _cdiv,
     _primitive_part,
     gcd_univariate,
-    normalize_leading,
 )
 from .errors import AbhyankarMohViolation, NotAnEmbedding
 from .kronecker import digits
@@ -122,7 +121,7 @@ def is_injective_param(gamma: Parametrization) -> Check:
         other = q if dp <= 0 else p
         if other.degree() == 1:
             return Check(True, None)
-        return Check(False, normalize_leading(difference_quotient(other)))
+        return Check(False, difference_quotient(other).monic())
     if dp == 1 or dq == 1:
         # A nonzero constant quotient has no zeros at all, shared or not.
         return Check(True, None)
@@ -132,7 +131,7 @@ def is_injective_param(gamma: Parametrization) -> Check:
     bits = 8 * cells[0]
     h, res = _subresultants(_quotient_rows(a, bits), _quotient_rows(b, bits), cells)
     if len(h) > 1:
-        return Check(False, normalize_leading(_primitive_part(h, cells[1])))
+        return Check(False, _primitive_part(h, cells[1]).monic())
     res = digits(res, cells[1])
     if len(res) == 1 and 0 in res:
         return Check(True, None)

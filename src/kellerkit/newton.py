@@ -17,10 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import BiPoly, PolyMap, is_keller
+from .arith import BiPoly, PolyMap, _norm_coeff, frac_pair, is_keller
 from .errors import HypothesisViolated, NonPositiveFactor
 
 Point = tuple[Fraction, Fraction]
+
+
+def _point(x, y) -> Point:
+    """An exact point: int or Fraction coordinates, as Fractions; a float
+    or a str raises TypeError."""
+    return Fraction(_norm_coeff(x)), Fraction(_norm_coeff(y))
 
 
 def _cross(o: Point, a: Point, b: Point) -> Fraction:
@@ -58,7 +64,7 @@ class Polygon:
     __slots__ = ("_v",)
 
     def __init__(self, vertices):
-        vs = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
+        vs = tuple(_point(x, y) for x, y in vertices)
         if _hull(vs + ((0, 0),)) != vs:
             raise ValueError("vertices are not a canonical convex hull around the origin")
         self._v = vs
@@ -73,7 +79,7 @@ class Polygon:
 
     @classmethod
     def from_points(cls, points) -> "Polygon":
-        return cls(_hull((Fraction(x), Fraction(y)) for x, y in points))
+        return cls(_hull(_point(x, y) for x, y in points))
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -82,7 +88,7 @@ class Polygon:
     def contains(self, point) -> bool:
         """Membership including the boundary: adding the point leaves the
         hull unchanged."""
-        return _hull(self._v + ((Fraction(point[0]), Fraction(point[1])),)) == self._v
+        return _hull(self._v + (_point(*point),)) == self._v
 
     def __eq__(self, other):
         if isinstance(other, Polygon):
@@ -96,12 +102,7 @@ class Polygon:
         return " ".join("(%s, %s)" % (x, y) for x, y in self._v)
 
     def to_json_dict(self) -> dict:
-        return {
-            "vertices": [
-                [x.numerator, x.denominator, y.numerator, y.denominator]
-                for x, y in self._v
-            ]
-        }
+        return {"vertices": [frac_pair(x) + frac_pair(y) for x, y in self._v]}
 
     def __repr__(self):
         return "Polygon(%s)" % self.render()
@@ -119,7 +120,7 @@ def scale_polygon(p: Polygon, factor) -> Polygon:
     """Dilation by a positive rational factor about the origin.  A positive
     dilation keeps the canonical vertex order, so the scaled vertices are
     already canonical."""
-    f = Fraction(factor)
+    f = Fraction(_norm_coeff(factor))
     if f <= 0:
         raise NonPositiveFactor("scale factor must be positive, got %s" % f)
     return Polygon._canonical((f * x, f * y) for x, y in p.vertices)
@@ -138,7 +139,7 @@ class SimilarityReport:
     def to_json_dict(self) -> dict:
         return {
             "similar": self.similar,
-            "factor": [self.factor.numerator, self.factor.denominator],
+            "factor": frac_pair(self.factor),
             "n_f": self.n_f.to_json_dict(),
             "n_g": self.n_g.to_json_dict(),
         }

@@ -35,25 +35,6 @@ from math import isqrt
 from .kronecker import cell_bytes, digits
 
 
-def _zquo(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """a / b in Z[x] for nonzero b; raises ValueError unless b divides a
-    exactly, so a quotient is never truncated."""
-    db = max(b)
-    lb, low = b[db], [(i, n) for i, n in b.items() if i < db]
-    r, q = dict(a), {}
-    for k in range(max(a, default=-1) - db, -1, -1):
-        c, m = divmod(r.pop(k + db, 0), lb)
-        if m:
-            raise ValueError("inexact polynomial division")
-        if c:
-            q[k] = c
-            for i, n in low:
-                r[k + i] = r.get(k + i, 0) - c * n
-    if any(r.values()):
-        raise ValueError("inexact polynomial division")
-    return q
-
-
 def _cells(m: int, sf: int, n: int, sg: int) -> tuple[int, int]:
     """(first, last): nb for the sequence of f and g, in either order, from
     their degrees in y, m and n, and the sums sf and sg of their rows'

@@ -4,8 +4,9 @@ Every assertion is exact symbolic equality of rationals or polynomials;
 there are no tolerances anywhere.  Each criterion is one test, enforces
 its own wall-clock budget, and prints a one-line summary (visible with
 ``pytest -s``; under ``pytest -v`` the test names give the per-criterion
-pass/fail lines).  One differential test rides along with criterion 5:
-the same proofs with the packed kernels switched off.
+pass/fail lines).  Two differential tests ride along with criterion 5:
+the same proofs with the packed kernels switched off, and the paper's
+inversion route against Jung-van der Kulk degree reduction.
 """
 
 import random
@@ -265,6 +266,23 @@ def test_line_proofs_agree_with_packing_off(monkeypatch):
     monkeypatch.setattr(arith, "packs", lambda cells, m, n: False)
     assert run() == packed
     assert calls["packed"] == 0
+
+
+def test_inversion_routes_agree():
+    """A plane automorphism has exactly one inverse.  So on criterion 5's
+    draws, with a seed of their own and random rational lines, the paper's
+    route (prove_line: the line, the embedding test, rectification and the
+    fixed-axis inverse) and degree reduction (decide_automorphism) give the
+    same inverse map, and every certificate verifies."""
+    start = time.perf_counter()
+    count = 120
+    for H, line in _criterion_5_draws(random.Random(1212), count):
+        inv, _, cert = prove_line(H, line)
+        word = decide_automorphism(H)
+        assert isinstance(word, Factorization)
+        assert inv == factorization_to_map(factorization_inverse(word))
+        assert verify_certificate(cert, H)
+    _finish("inversion routes", "%d/%d inverses agree" % (count, count), start, 20)
 
 
 def test_criterion_6_negative_battery():

@@ -36,14 +36,13 @@ from kellerkit import arith, subresultant
 from kellerkit.arith import (
     _cross_packed,
     _cross_sparse,
-    _zquo,
+    _primitive_part,
     frac_pair,
     line_parametrization,
-    normalize_leading,
 )
 from kellerkit.cli import parse_bipoly
 from kellerkit.kronecker import cell_bytes, digits
-from kellerkit.subresultant import _cells, _pack_rows
+from kellerkit.subresultant import _cells, _pack, _pack_rows
 
 from conftest import (
     DEG4_F,
@@ -138,7 +137,8 @@ class TestNegInf:
 
 
 class TestInputChecks:
-    """The polynomial API refuses what it cannot represent with ValueError."""
+    """The polynomial API refuses what it cannot represent: a bad exponent
+    with ValueError, an inexact number with TypeError."""
 
     @pytest.mark.parametrize("make", [
         lambda: UniPoly({-1: 1}),
@@ -166,6 +166,18 @@ class TestInputChecks:
     def test_bad_power(self, p, e):
         with pytest.raises(ValueError, match="non-negative int"):
             p**e
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, "1/2"], ids=["float", "binary_float", "str"])
+    @pytest.mark.parametrize("evaluate", [
+        lambda v: BiPoly.x().evaluate(v, 0),
+        lambda v: BiPoly.x().evaluate(0, v),
+        lambda v: PolyMap.identity().evaluate(v, 1),
+        lambda v: UniPoly.x()(v),
+        lambda v: Parametrization(UniPoly.x(), UniPoly.one()).evaluate(v),
+    ], ids=["bipoly_x", "bipoly_y", "polymap", "unipoly_call", "parametrization"])
+    def test_evaluation_point_is_exact(self, evaluate, value):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            evaluate(value)
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +505,16 @@ class TestBiPoly:
             p = random_bipoly(rng, 3, 4)
             assert sub.apply(p) == Substitution(u, v).apply(p)
 
-    def test_normalize_leading(self):
+    def test_monic(self, rng):
         p = BiPoly({(2, 0): 3, (0, 0): 6})
-        assert normalize_leading(p) == BiPoly({(2, 0): 1, (0, 0): 2})
-        assert normalize_leading(BiPoly.zero()).is_zero()
+        assert p.monic() == BiPoly({(2, 0): 1, (0, 0): 2})
+        assert BiPoly.zero().monic().is_zero()
+        # The graded-lex leading term: y^3 leads x^2, though x is heavier.
+        assert BiPoly({(2, 0): 4, (0, 3): -2}).monic() == BiPoly({(2, 0): -2, (0, 3): 1})
+        for _ in range(50):
+            p = random_bipoly(rng, 3, 3)
+            if p:
+                assert p.monic() == p * (1 / Fraction(p.leading_term()[1]))
 
 
 def _euclid_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -611,6 +629,7 @@ class TestSubstitution:
         assert type(Substitution(Fraction(1, 2), Fraction(3)).apply(p)) is int
         assert Substitution(Fraction(1, 2), Fraction(1)).apply(p) == Fraction(4, 3)
         assert type(p.evaluate(Fraction(1, 2), 3)) is int
+        assert p.evaluate(1, 3) == 5 and type(p.evaluate(1, 3)) is int  # ints alone
         assert type(Substitution(Fraction(1, 2), 3).apply(BiPoly.constant(4))) is int
 
     @pytest.mark.parametrize("ring", sorted(PAIRS))
@@ -1186,12 +1205,18 @@ class TestResultant:
         assert got == UniPoly({2: 27, 1: 12})
         assert all(type(v) is int for _, v in got.terms())
 
-    def test_integer_quotient_is_exact_or_raises(self):
-        assert _zquo({0: -1, 2: 1}, {0: 1, 1: 1}) == {0: -1, 1: 1}  # (x^2 - 1) / (x + 1)
-        assert _zquo({}, {0: 3}) == {}
-        for a, b in (([1, 0, 1], [1, 1]), ([2], [4]), ([1], [0, 1]), ([3, 6], [0, 3])):
+    def test_integer_quotient_is_exact_or_raises(self, monkeypatch):
+        """_primitive_part divides each row by the content in Z[x], and an
+        inexact division raises rather than truncates."""
+        # (x^2 - 1)*y + (x + 1) over its content x + 1 is (x - 1)*y + 1.
+        h = [_pack(_terms(row).items(), 2) for row in ([-1, 0, 1], [1, 1])]
+        assert _primitive_part(h, 2) == BiPoly({(1, 1): 1, (0, 1): -1, (0, 0): 1})
+        # A content patched to one that does not divide the row: a nonzero
+        # remainder, or a zero one under a quotient outside Z[x].
+        for row, c in (([1, 0, 1], [1, 1]), ([1], [0, 1]), ([3, 6], [0, 3]), ([0, 1], [0, 2])):
+            monkeypatch.setattr(arith, "_content", lambda rows, c=c: UniPoly(_terms(c)))
             with pytest.raises(ValueError):
-                _zquo(_terms(a), _terms(b))
+                _primitive_part([_pack(_terms(row).items(), 2)], 2)
 
     def test_common_factor_forces_zero(self, rng):
         g = BiPoly({(0, 1): 1, (1, 0): -1})  # y - x
@@ -1238,8 +1263,9 @@ def _terms(row):
 
 
 class TestIntegerRowKernels:
-    """The Z[x] exact quotient of _primitive_part's content step against a
-    naive dense product, with [] and length-1 operands on either side."""
+    """UniPoly.__divmod__, the division of _primitive_part's content step,
+    against a naive dense product, with [] and length-1 operands on either
+    side."""
 
     def _pairs(self, rng):
         edge = [[], [5], [-1], [0, 3], [2, 0, -7]]
@@ -1256,12 +1282,12 @@ class TestIntegerRowKernels:
         for q, b in self._pairs(rng):
             if not b:
                 continue
-            a = _naive_product(q, b)
-            assert _zquo(_terms(a), _terms(b)) == _terms(q)
+            a, quotient, divisor = _naive_product(q, b), UniPoly(_terms(q)), UniPoly(_terms(b))
+            assert divmod(UniPoly(_terms(a)), divisor) == (quotient, UniPoly.zero())
             r = _random_row(rng, len(b) - 1)
-            if r:  # deg r < deg b, so b does not divide a + r
-                with pytest.raises(ValueError):
-                    _zquo(_terms(_naive_sum(a, r)), _terms(b))
+            if r:  # deg r < deg b, so r is the remainder of a + r
+                got = divmod(UniPoly(_terms(_naive_sum(a, r))), divisor)
+                assert got == (quotient, UniPoly(_terms(r)))
 
 
 def _integer_pair_poly(rng, dy, bound=9, dx=3):
@@ -1339,8 +1365,8 @@ class TestPackedSequence:
             a = g * _integer_pair_poly(rng, rng.randint(1, 3), dx=2)
             b = g * _integer_pair_poly(rng, rng.randint(0, 2), dx=2)
             assert resultant_y(a, b).is_zero()
-            assert gcd_bivariate(a, b) == normalize_leading(g)
-            assert gcd_bivariate(b, a) == normalize_leading(g)
+            assert gcd_bivariate(a, b) == g.monic()
+            assert gcd_bivariate(b, a) == g.monic()
 
     def test_univariate_gcd_of_planted_factors(self, rng):
         for _ in range(30):
@@ -1436,7 +1462,7 @@ class TestGcdBivariate:
         u = BiPoly({(1, 0): 1, (0, 0): 1})  # x + 1
         v = BiPoly({(0, 1): 1, (0, 0): 3})  # y + 3
         got = gcd_bivariate(g * u, g * v)
-        assert got == normalize_leading(g)
+        assert got == g.monic()
 
     def test_random_products_with_coprime_cofactors(self, rng):
         u = BiPoly({(1, 0): 1, (0, 0): 1})
@@ -1445,7 +1471,7 @@ class TestGcdBivariate:
             g = random_bipoly(rng, 2, 3)
             if g.is_zero() or g.is_constant():
                 continue
-            assert gcd_bivariate(g * u, g * v) == normalize_leading(g)
+            assert gcd_bivariate(g * u, g * v) == g.monic()
 
     def test_x_content_times_y_factor(self):
         # Common factor (x + 1)*(y - x^2): the x-content of the gcd comes
@@ -1453,8 +1479,8 @@ class TestGcdBivariate:
         common = BiPoly({(1, 0): 1, (0, 0): 1}) * BiPoly({(0, 1): 1, (2, 0): -1})
         a = common * BiPoly({(1, 0): 1, (0, 0): -2}) * BiPoly({(0, 1): 1, (0, 0): 1})
         b = common * BiPoly({(1, 0): 1}) * BiPoly({(0, 2): 1, (0, 0): 3})
-        assert gcd_bivariate(a, b) == normalize_leading(common)
-        assert gcd_bivariate(b, a) == normalize_leading(common)
+        assert gcd_bivariate(a, b) == common.monic()
+        assert gcd_bivariate(b, a) == common.monic()
 
     def test_remainder_degree_drops_by_two(self):
         # prem(y^4 + 2y + x, y^3 + x) = (2 - x)*y + x: y-degree 3 -> 1.
@@ -1469,12 +1495,12 @@ class TestGcdBivariate:
         g = BiPoly({(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 5), (0, 0): 1})
         u = BiPoly({(0, 1): Fraction(2, 7), (2, 0): Fraction(-1, 3), (0, 0): Fraction(5, 4)})
         v = BiPoly({(0, 2): Fraction(3, 2), (1, 1): Fraction(1, 6), (1, 0): Fraction(-2, 9)})
-        assert gcd_bivariate(g * u, g * v) == normalize_leading(g)
-        assert gcd_bivariate(g * v, g * u) == normalize_leading(g)
+        assert gcd_bivariate(g * u, g * v) == g.monic()
+        assert gcd_bivariate(g * v, g * u) == g.monic()
         # An x-content in the common factor comes through the contents.
         h = g * BiPoly({(1, 0): Fraction(3, 4), (0, 0): Fraction(-1, 2)})
-        assert gcd_bivariate(h * u, h * v) == normalize_leading(h)
-        assert gcd_bivariate(h * v, h * u) == normalize_leading(h)
+        assert gcd_bivariate(h * u, h * v) == h.monic()
+        assert gcd_bivariate(h * v, h * u) == h.monic()
 
     def test_coprime_gives_one(self):
         p = BiPoly({(1, 0): 1, (0, 1): 1})  # x + y
@@ -1483,7 +1509,7 @@ class TestGcdBivariate:
 
     def test_with_zero(self):
         p = BiPoly({(2, 0): 3})
-        assert gcd_bivariate(p, BiPoly.zero()) == normalize_leading(p)
+        assert gcd_bivariate(p, BiPoly.zero()) == p.monic()
         assert gcd_bivariate(BiPoly.zero(), BiPoly.zero()).is_zero()
 
     def test_gcd_divides_inputs_by_evaluation(self, rng):
@@ -1492,4 +1518,4 @@ class TestGcdBivariate:
         # here the gcd of p with itself is its normalization.
         p = random_bipoly(rng, 3, 3)
         if not p.is_zero():
-            assert gcd_bivariate(p, p) == normalize_leading(p)
+            assert gcd_bivariate(p, p) == p.monic()

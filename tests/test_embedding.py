@@ -28,7 +28,7 @@ from kellerkit import (
     resultant_y,
 )
 from kellerkit import arith, embedding
-from kellerkit.arith import _rows, normalize_leading
+from kellerkit.arith import _rows
 from kellerkit.embedding import Check, _quotient_rows, _row_squares
 from kellerkit.kronecker import cell_bytes, digits
 from kellerkit.tame import apply_factors
@@ -179,13 +179,13 @@ class TestInjectivity:
 
 def _bipoly_route(gamma):
     """is_injective_param on BiPoly difference quotients: resultant_y, then
-    gcd_bivariate or normalize_leading for the witness."""
+    gcd_bivariate or BiPoly.monic for the witness."""
     dp, dq = difference_quotient(gamma.first), difference_quotient(gamma.second)
     if dp.is_zero() and dq.is_zero():
         return Check(False, BiPoly.zero())
     if dp.is_zero() or dq.is_zero():
         other = dq if dp.is_zero() else dp
-        return Check(True, None) if other.is_constant() else Check(False, normalize_leading(other))
+        return Check(True, None) if other.is_constant() else Check(False, other.monic())
     if dp.is_constant() or dq.is_constant():
         return Check(True, None)
     res = resultant_y(dp, dq)
@@ -257,7 +257,7 @@ class TestSharedComponent:
             phi = self._poly(rng, rng.randint(2, 5))
             r = self._poly(rng, rng.randint(1, 3))
             gamma = Parametrization(phi, compose_uni(r, phi))
-            want = Check(False, normalize_leading(difference_quotient(phi)))
+            want = Check(False, difference_quotient(phi).monic())
             assert is_injective_param(gamma) == want
 
     def test_one_sequence_and_no_gcd(self, monkeypatch):

@@ -279,6 +279,21 @@ class TestScale:
             scale_polygon(tri, -2)
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5, "1/2"], ids=["float", "binary_float", "str"])
+@pytest.mark.parametrize("make", [
+    lambda v: Polygon([(0, 0), (v, 0)]),
+    lambda v: Polygon([(0, 0), (0, v)]),
+    lambda v: Polygon.from_points([(v, 1)]),
+    lambda v: Polygon([(0, 0), (1, 0)]).contains((v, 0)),
+    lambda v: Polygon([(0, 0), (0, 1)]).contains((0, v)),
+    lambda v: scale_polygon(Polygon([(0, 0), (1, 0)]), v),
+], ids=["vertex_x", "vertex_y", "from_points", "contains_x", "contains_y", "scale"])
+def test_inexact_numbers_rejected(make, value):
+    """Points and factors pass the coefficient rule: int or Fraction only."""
+    with pytest.raises(TypeError, match=type(value).__name__):
+        make(value)
+
+
 class TestSimilarity:
     def test_shear_cube_pair(self):
         # f = x + y^2, g = y + f^3: a Jacobian pair of degrees 2 and 6.
