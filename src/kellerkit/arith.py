@@ -53,6 +53,20 @@ composed with its inverse), so unpacking is cheap.  The general product
 kernel _convolve stays a term pair loop; a packed _convolve lost on the
 small products of line proofs, which do not cancel.
 
+jacobian_det keeps the determinants of the last 4 (f, g) pairs it
+computed, keyed by the identity of f and g: one tuple of (f, g, det)
+triples, newest first, replaced as a whole on each miss, so a lookup is
+a few identity tests and hashes nothing.  Callers ask about one map more
+than once: decide_automorphism asks the gate on H, invert_low_degree on
+the pair the peel leaves (H's own when it peels nothing), then
+similarity_check on H's components again; in prove_line,
+fixed_axis_invert and invert_low_degree both ask on G.  No path puts
+more than one other pair between two questions on the same pair, so 2
+entries would do.  Identity is a sound key: the tuple holds strong
+references, so no id in it is reused while its entry lives, and a
+polynomial never changes after construction.  Equal but distinct objects
+are computed afresh.  Threads racing on a miss can only drop an entry.
+
 Elementary factors evaluate by one generic Horner loop, _horner, over
 the ring of the pair they apply to.  A UniPoly composition is a
 Substitution of a pair of UniPoly.
@@ -382,15 +396,31 @@ class UniPoly(_SparsePoly):
     __rmul__ = __mul__
 
     def __divmod__(self, other: "UniPoly"):
+        """(q, r) with self = q*other + r and deg r < deg other, by
+        pseudo-division of the numerators A by B: with s = |lc(B)|^(e + 1),
+        e the difference of the degrees, each step's quotient term is an
+        exact int and s*A = Q*B + R, so q = Q*d_B / (s*d_A) and
+        r = R / (s*d_A)."""
         if not isinstance(other, UniPoly):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q, r = UniPoly.zero(), self
-        while r and r.degree() >= other.degree():
-            t = UniPoly({r.degree() - other.degree(): _cdiv(r.lc(), other.lc())})
-            q, r = q + t, r - t * other
-        return q, r
+        b = other._t
+        n = max(b)
+        delta = self.degree() - n if self else -1
+        if delta < 0:
+            return UniPoly.zero(), self
+        lc = b[n]
+        s = abs(lc) ** (delta + 1)
+        r = {k: v * s for k, v in self._t.items()}
+        q = {}
+        for e in range(delta, -1, -1):
+            c = r.get(e + n)
+            if c is not None:
+                q[e] = c // lc
+                _axpy(r, -q[e], [(k + e, v) for k, v in b.items()])
+        d = s * self._d
+        return UniPoly._reduce({k: v * other._d for k, v in q.items()}, d), UniPoly._reduce(r, d)
 
     def derivative(self) -> "UniPoly":
         return UniPoly._reduce({k - 1: k * v for k, v in self._t.items() if k > 0}, self._d)
@@ -746,10 +776,29 @@ def _cross_sparse(a, b) -> dict:
     return out
 
 
+# (f, g, det) for the last pairs jacobian_det computed, newest first.
+_JACOBIANS: tuple = ()
+_JACOBIANS_KEPT = 4
+
+
 def jacobian_det(H: PolyMap) -> BiPoly:
     """Determinant of the Jacobian matrix of H, f_x*g_y - f_y*g_x for
-    H = (f, g), on integer numerators (see the module docstring)."""
-    f, g = H.first._t, H.second._t
+    H = (f, g), on integer numerators.  When f and g are the very objects
+    of one of the last 4 pairs computed, that pair's BiPoly comes back
+    without running the kernel (see the module docstring)."""
+    global _JACOBIANS
+    f, g = H.first, H.second
+    for f0, g0, det in _JACOBIANS:
+        if f0 is f and g0 is g:
+            return det
+    det = _jacobian(f, g)
+    _JACOBIANS = ((f, g, det),) + _JACOBIANS[:_JACOBIANS_KEPT - 1]
+    return det
+
+
+def _jacobian(p: BiPoly, q: BiPoly) -> BiPoly:
+    """jacobian_det's kernel, on p's and q's numerators f and g."""
+    f, g = p._t, q._t
     a, b = f.items(), g.items()
     width = max((i for i, _ in f), default=0) + max((i for i, _ in g), default=0)
     rows = max((j for _, j in f), default=0) + max((j for _, j in g), default=0)
@@ -759,7 +808,7 @@ def jacobian_det(H: PolyMap) -> BiPoly:
         out = _cross_packed(a, b, width)
     else:
         out = _cross_sparse(a, b)
-    return BiPoly._reduce(out, H.first._d * H.second._d)
+    return BiPoly._reduce(out, p._d * q._d)
 
 
 @dataclass(frozen=True)
@@ -773,7 +822,9 @@ class KellerReport:
 
 def is_keller(H: PolyMap) -> KellerReport:
     """Is the Jacobian determinant of H a nonzero constant?  The one Keller
-    gate: every operation that needs the hypothesis asks it here."""
+    gate: every operation that needs the hypothesis asks it here, and a
+    second question on the same component objects reuses jacobian_det's
+    last answer."""
     jac = jacobian_det(H)
     return KellerReport(jacobian=jac, is_keller=jac.is_constant() and not jac.is_zero())
 

@@ -360,17 +360,17 @@ def _cmd_gen_auto(args):
     return 0, {"factorization": word.to_json_list()}, [word.render()]
 
 
-# Each command's handler, its help and its positionals, name -> help
-# (None for none).
-_MAP_ARGS = dict.fromkeys(("first", "second"))
+# Each command's handler, its help and its positionals, name -> help.
+_MAP_ARGS = {
+    "first": "first component, a polynomial in x and y",
+    "second": "second component",
+}
 _CURVE_ARGS = {
     "first": "first component, a polynomial in x (the parameter)",
     "second": "second component",
 }
 _COMMANDS = {
-    "jac": (_cmd_jac, "Jacobian determinant and Keller test", {
-        "first": "first component, a polynomial in x and y", "second": "second component",
-    }),
+    "jac": (_cmd_jac, "Jacobian determinant and Keller test", _MAP_ARGS),
     "polygon": (_cmd_polygon, "Newton polygon of a polynomial", {
         "poly": "a polynomial in x and y",
     }),

@@ -238,12 +238,17 @@ def test_line_proofs_agree_with_packing_off(monkeypatch):
     on.  With the size rule patched to never pack, jacobian_det and
     Substitution run on term pairs, and criterion 5's first 50 draws give
     the same inverse, word JSON and certificate JSON, and verify_certificate
-    the same verdict on each certificate and on a tampered copy."""
-    calls = {"packed": 0}
+    the same verdict on each certificate and on a tampered copy.  The
+    second pass runs the term-pair Jacobian at least once for every
+    determinant the first computed, so no answer jacobian_det kept from
+    the first pass stands in for it."""
+    calls = dict.fromkeys(("pack", "_cross_packed", "_cross_sparse"), 0)
 
-    def spy(kernel):
+    def spy(name):
+        kernel = getattr(arith, name)
+
         def counted(*args):
-            calls["packed"] += 1
+            calls[name] += 1
             return kernel(*args)
         return counted
 
@@ -257,15 +262,17 @@ def test_line_proofs_agree_with_packing_off(monkeypatch):
             ))
         return out
 
-    for name in ("pack", "_cross_packed"):
-        monkeypatch.setattr(arith, name, spy(getattr(arith, name)))
+    for name in calls:
+        monkeypatch.setattr(arith, name, spy(name))
     packed = run()
-    assert calls["packed"] > 0
+    assert calls["pack"] > 0 and calls["_cross_packed"] > 0
     assert all(ok and not tampered_ok for *_, ok, tampered_ok in packed)
-    calls["packed"] = 0
+    determinants = calls["_cross_packed"] + calls["_cross_sparse"]
+    calls.update(dict.fromkeys(calls, 0))
     monkeypatch.setattr(arith, "packs", lambda cells, m, n: False)
     assert run() == packed
-    assert calls["packed"] == 0
+    assert calls["pack"] == calls["_cross_packed"] == 0
+    assert calls["_cross_sparse"] >= determinants
 
 
 def test_inversion_routes_agree():

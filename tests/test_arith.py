@@ -21,6 +21,7 @@ from kellerkit import (
     Substitution,
     UniPoly,
     compose_map,
+    decide_automorphism,
     factorization_inverse,
     factorization_to_map,
     gcd_bivariate,
@@ -31,6 +32,7 @@ from kellerkit import (
     random_tame,
     restrict_to_line,
     resultant_y,
+    similarity_check,
 )
 from kellerkit import arith, subresultant
 from kellerkit.arith import (
@@ -266,6 +268,22 @@ class TestUniPoly:
         quo, rem = divmod(p, q)
         assert quo * q + rem == p
         assert rem.is_zero() or rem.degree() < q.degree()
+
+    def test_divmod_identity_on_seeded_inputs(self, rng):
+        """q*b + r = a with deg r < deg b, on int and Fraction operands of
+        up to degree 12, leading coefficients far from 1 among them, and
+        both results stored reduced."""
+        for _ in range(300):
+            a, b = random_unipoly(rng, 12, 2**40), random_unipoly(rng, 6, 9, nonzero=True)
+            if rng.random() < 0.5:
+                a = UniPoly({k: c * random_fraction(rng) for k, c in a.terms()})
+            if rng.random() < 0.5:
+                b = b * Fraction(rng.randint(1, 2**33), rng.randint(1, 50))
+            quo, rem = divmod(a, b)
+            assert quo * b + rem == a
+            assert rem.is_zero() or rem.degree() < b.degree()
+            for p in (quo, rem):
+                _assert_stored_reduced(p.to_bipoly())
 
     def test_divmod_known(self):
         p = UniPoly({3: 1, 0: -1})
@@ -1031,6 +1049,72 @@ class TestJacobian:
             assert jacobian_det(H).is_zero()
             assert _jacobian_oracle(H).is_zero()
         assert time.perf_counter() - start < 2.0
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The (f, g) term dicts of every run of jacobian_det's two kernels."""
+    runs = []
+
+    def spy(kernel):
+        def counted(a, b, *rest):
+            runs.append((dict(a), dict(b)))
+            return kernel(a, b, *rest)
+        return counted
+
+    for name in ("_cross_packed", "_cross_sparse"):
+        monkeypatch.setattr(arith, name, spy(getattr(arith, name)))
+    return runs
+
+
+class TestJacobianMemo:
+    """jacobian_det answers a pair of component objects it computed in one
+    of its last arith._JACOBIANS_KEPT calls without running a kernel."""
+
+    def test_same_objects_reuse_the_determinant(self, kernel_runs, rng):
+        f, g = random_bipoly(rng, 4, 9) + BiPoly.x(), random_bipoly(rng, 4, 9) + BiPoly.y()
+        first = jacobian_det(PolyMap(f, g))
+        assert len(kernel_runs) == 1
+        again = jacobian_det(PolyMap(f, g))
+        assert again is first and len(kernel_runs) == 1
+        assert again == _jacobian_oracle(PolyMap(f, g))
+
+    def test_equal_but_distinct_objects_recompute(self, kernel_runs):
+        f, g = parse_bipoly("x + y^2"), parse_bipoly("y")
+        first = jacobian_det(PolyMap(f, g))
+        for H in (PolyMap(parse_bipoly("x + y^2"), g), PolyMap(f, parse_bipoly("y"))):
+            assert jacobian_det(H) == first
+        assert len(kernel_runs) == 3
+        # (g, f) is another pair of the same objects, with the opposite sign.
+        assert jacobian_det(PolyMap(g, f)) == -first
+        assert len(kernel_runs) == 4
+
+    def test_oldest_pair_recomputed_past_the_bound(self, kernel_runs):
+        kept = arith._JACOBIANS_KEPT
+        maps = [PolyMap(BiPoly.x() + BiPoly.y() ** (k + 2), BiPoly.y()) for k in range(kept + 1)]
+        for H in maps[:-1]:
+            jacobian_det(H)
+        for H in maps[:-1]:  # all kept
+            jacobian_det(H)
+        assert len(kernel_runs) == kept
+        jacobian_det(maps[-1])  # one pair more drops the oldest
+        jacobian_det(maps[0])
+        assert len(kernel_runs) == kept + 2
+        assert kernel_runs[-1] == (maps[0].first._t, maps[0].second._t)
+
+    def test_recognition_then_similarity_runs_the_kernel_once_per_map(self, kernel_runs):
+        """decide_automorphism asks the gate on H and on the map its peel
+        leaves; similarity_check on H's components asks about H again."""
+        H = PolyMap(parse_bipoly("x + 2*y^2"), parse_bipoly("y + 3*x^2 + 12*x*y^2 + 12*y^4"))
+        word = decide_automorphism(H)
+        report = similarity_check(H.first, H.second)
+        assert factorization_to_map(word) == H and report.jacobian == BiPoly.one()
+        assert len(kernel_runs) == 2
+        assert kernel_runs[0] == (H.first._t, H.second._t)
+        assert kernel_runs[1] != kernel_runs[0]
+        # A peel that does nothing leaves H itself to invert_low_degree.
+        decide_automorphism(PolyMap(parse_bipoly("x + y^2"), parse_bipoly("y")))
+        assert len(kernel_runs) == 3
 
 
 class TestParametrization:

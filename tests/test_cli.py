@@ -574,6 +574,14 @@ class TestExitCodes:
         sub = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
         assert list(sub.choices) == list(cli._COMMANDS)
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_positional_has_help_text(self, command):
+        actions = cli.build_parser()._actions
+        sub = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+        positionals = [a for a in sub.choices[command]._actions if not a.option_strings]
+        assert [a.dest for a in positionals] == list(cli._COMMANDS[command][2])
+        assert all(a.help for a in positionals)
+
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "kellerkit" in capsys.readouterr().out
