@@ -17,14 +17,21 @@ normalizes once, at the end, by one gcd of the new denominator and the
 new numerators (_SparsePoly._reduce; no gcd at all over 1, the common
 all-integer case).  A sum works over the lcm of the two denominators, a
 product over their product.  BiPoly products run through one integer
-product kernel, _convolve.  Substitution of (u, v) into p, which also
-composes maps and evaluates a BiPoly at a point, sums p's rows over
-cached powers of u's numerators and runs Horner's rule in v's
-numerators, on term pairs through _convolve or packed (see
-Substitution).  The subresultant sequence behind resultant_y,
-gcd_bivariate and gcd_univariate runs on Python ints, each row in y
-packed at x = 2^B (see subresultant.py).  An affine image
-a*p + b*q + e sums p's and q's numerators over one shared denominator.
+product kernel, _convolve, packed or on term pairs by the size rule
+below.  Substitution of (u, v) into p, which also composes maps and
+evaluates a BiPoly at a point, sums p's rows over cached powers of u's
+numerators and runs Horner's rule in v's numerators, on term pairs
+through _convolve or packed (see Substitution).  The subresultant
+sequence behind resultant_y, gcd_bivariate and gcd_univariate runs on
+Python ints, each row in y packed at x = 2^B (see subresultant.py).  An
+affine image a*p + b*q + e sums p's and q's numerators over one shared
+denominator, and so does an elementary factor's image p + s(q), in one
+kernel, _shift_image: the powers of q come from BiPoly.__mul__, so they
+pack by the size rule, and p's numerators and every s_k*d_q^(e-k)*Q^k
+(s_k the shift's numerators, Q the numerators of q over d_q, e the
+shift's degree) are summed in one accumulator and reduced once.  A UniPoly or a
+scalar is read as a polynomial in x alone, so every ring takes the same
+path; a UniPoly composition is a Substitution of a pair of UniPoly.
 
 jacobian_det, the Keller gate, is one integer kernel with no
 intermediate BiPoly: it computes f_x*g_y - f_y*g_x on the numerators of
@@ -40,18 +47,23 @@ by the one size rule of every packed kernel, kronecker.packs:
   Python ints, and the cross product is two C bigint multiplications.
   B is a whole number of bytes holding |f_x|*|g_y| + |f_y|*|g_x| (|.|
   the sum of absolute values, a bound on every coefficient of the
-  result), every packed coefficient, and a sign bit.  The result's balanced base-2^B digits are
-  read up to its top digit only, so a Keller map's constant Jacobian
-  unpacks in O(1).
+  result), every packed coefficient, and a sign bit.  The result's
+  balanced base-2^B digits are read up to its top digit only, so a
+  Keller map's constant Jacobian unpacks in O(1).
 - otherwise: one pass over the term pairs, adding (i1*j2 - j1*i2)*a*b at
   (i1 + i2 - 1, j1 + j2 - 1).  It bounds the work on sparse input of
   high degree, whose grid would be too large to pack, and wins on small
   maps, where packing four lists costs more than a few pairs.
-The Jacobian and Substitution pack, through one codec: there the result
-cancels to a few terms (a constant Jacobian; the (x, y) of a map
-composed with its inverse), so unpacking is cheap.  The general product
-kernel _convolve stays a term pair loop; a packed _convolve lost on the
-small products of line proofs, which do not cancel.
+_convolve picks its strategy by the same rule, with W and R one more
+than the sums of the operands' x-degrees and y-degrees: packed
+(kronecker._mul_packed), in cells that hold the product of the
+operands' sums of absolute values, the operand with more rows in y
+packed whole and the other one row at a time, or one pass over the term
+pairs.  The rule with a grid of one cell,
+1 + 2*(m + n) <= m*n, is tested first, before any per-term work, so the
+small products of line proofs leave at once.  The powers of elementary
+factors at high degree are dense, and pack.  The Jacobian, products and
+Substitution share one codec, kronecker.py.
 
 jacobian_det keeps the determinants of the last 4 (f, g) pairs it
 computed, keyed by the identity of f and g: one tuple of (f, g, det)
@@ -67,15 +79,13 @@ references, so no id in it is reused while its entry lives, and a
 polynomial never changes after construction.  Equal but distinct objects
 are computed afresh.  Threads racing on a miss can only drop an entry.
 
-Elementary factors evaluate by one generic Horner loop, _horner, over
-the ring of the pair they apply to.  A UniPoly composition is a
-Substitution of a pair of UniPoly.
-
 The canonical term order is graded lexicographic with x heavier than y:
 higher total degree first, ties broken by the exponent of x.  One render
-loop in _SparsePoly walks that order (sign, magnitude, monomial, joins),
-so the textual form of any polynomial is canonical and round-trips
-through the parser; each class only names its monomials.
+loop in _SparsePoly walks that order (sign, magnitude, monomial, joins)
+on the numerators, each magnitude written as str() writes the int or
+the reduced Fraction, so the textual form of any polynomial is canonical
+and round-trips through the parser; each class only names its
+monomials.
 
 The degree of the zero polynomial is NEG_INF, a sentinel that compares
 below every integer and refuses arithmetic.
@@ -89,7 +99,7 @@ from math import gcd, lcm
 from typing import Union
 
 from .errors import DegenerateResultant, InvalidLine
-from .kronecker import _cross_packed, cell_bytes, digits, pack, packs, unpack
+from .kronecker import _cross_packed, _mul_packed, cell_bytes, digits, pack, packs, unpack
 from .subresultant import _pack_rows, _subresultants
 
 Coeff = Union[int, Fraction]
@@ -171,27 +181,6 @@ class _NegInf:
 
 
 NEG_INF = _NegInf()
-
-
-def _horner(sorted_terms, value):
-    """Evaluate sum(c * value^k) given terms sorted by descending k.
-
-    Works over any ring with +, * and ** for non-negative ints:
-    coefficients, univariate or bivariate polynomials.  Each c is added to
-    the accumulator as it is, so a scalar c is lifted by the polynomial's
-    own addition and c may also be an element of value's ring.
-    """
-    acc = 0
-    prev = None
-    for k, c in sorted_terms:
-        if prev is not None:
-            gap = prev - k
-            acc = acc * (value if gap == 1 else value**gap)
-        acc = acc + c
-        prev = k
-    if prev is not None and prev > 0:
-        acc = acc * (value if prev == 1 else value**prev)
-    return acc
 
 
 class _SparsePoly:
@@ -345,11 +334,18 @@ class _SparsePoly:
         """The terms in canonical order, joined by " + " and " - ", each one
         a magnitude, a monomial, or magnitude*monomial; monomial(key) names
         the monomial, "" for the constant term."""
+        t, d = self._t, self._d
         text = ""
-        for key, c in self.terms():
-            mag, mono = str(abs(c)), monomial(key)
+        for key in sorted(t, key=self._order, reverse=True):
+            n = t[key]
+            if d == 1:
+                mag = str(abs(n))
+            else:  # as str() of the reduced Fraction n/d
+                g = gcd(n, d)
+                mag = str(abs(n) // g) if g == d else "%d/%d" % (abs(n) // g, d // g)
+            mono = monomial(key)
             body = mag if not mono else mono if mag == "1" else mag + "*" + mono
-            text += (" - " if c < 0 else " + ") + body
+            text += (" - " if n < 0 else " + ") + body
         if not text:
             return "0"
         return "-" + text[3:] if text[1] == "-" else text[3:]
@@ -449,8 +445,15 @@ def gcd_univariate(p: UniPoly, q: UniPoly) -> UniPoly:
 
 
 def _convolve(a, b) -> dict:
-    """The integer product kernel: the product of two bivariate term lists
-    ((i, j), n) with int n, as a dict free of zero coefficients."""
+    """The integer product kernel: the product of two sized bivariate term
+    lists ((i, j), n) with int n, as a dict free of zero coefficients.
+    Packed (_mul_packed) when the size rule holds for the product's W by R
+    grid, after the test with a grid of one cell; else term pairs."""
+    m, n = len(a), len(b)
+    if packs(1, m, n):
+        (ax, ay), (bx, by) = (_degrees([k for k, _ in w]) for w in (a, b))
+        if packs((ax + bx + 1) * (ay + by + 1), m, n):  # the operand with fewer rows goes by rows
+            return _mul_packed(a, b, ax + bx + 1) if by <= ay else _mul_packed(b, a, ax + bx + 1)
     out: dict[tuple[int, int], int] = {}
     get = out.get
     for (i1, j1), v1 in a:
@@ -592,6 +595,26 @@ def _affine_image(pair, rows) -> tuple:
     return tuple(out)
 
 
+def _shift_image(p, shift: UniPoly, q):
+    """p + shift(q), for p and q of one ring (BiPoly, UniPoly or scalars),
+    in that ring: the shift kernel of elementary factors.  Each power of
+    q, read as a BiPoly, comes from BiPoly.__mul__ through _power, so it
+    packs by the size rule; with shift = S/ds and q^k = Q_k/d_k, the
+    terms S_k*Q_k and p's numerators are summed in one accumulator over
+    the lcm of p's denominator and every ds*d_k, and reduced once."""
+    (P, dp), (Q, dq) = _bivariate(p), _bivariate(q)
+    powers = {0: BiPoly.one(), 1: BiPoly._new(Q, dq)}
+    ks = sorted(shift._t)  # rising, so each power costs one product
+    for k in ks:
+        _power(powers, k, BiPoly.__mul__)
+    ds = shift._d
+    den = lcm(dp, *[ds * powers[k]._d for k in ks])
+    acc = {k: v * (den // dp) for k, v in P.items()}
+    for k in ks:
+        _axpy(acc, shift._t[k] * (den // (ds * powers[k]._d)), powers[k]._t.items())
+    return _in_ring(_ring(p, q), acc, den)
+
+
 def _power(powers: dict, e: int, mul):
     """powers[e], from a cache of powers of powers[1] holding powers[0] = 1:
     one product mul(a, b) from powers[e - 1] when cached, so exponents in
@@ -610,7 +633,8 @@ def _dict_mul(a: dict, b: dict) -> dict:
 
 
 def _degrees(w: dict) -> tuple[int, int]:
-    """The x-degree and the y-degree of int terms w; 0 for w empty."""
+    """The x-degree and the y-degree of the keys of w, a dict of terms or
+    a list of keys; 0 for w empty."""
     return max((i for i, _ in w), default=0), max((j for _, j in w), default=0)
 
 
@@ -644,11 +668,11 @@ class Substitution:
       and repacks them at the larger of each size otherwise.
     - otherwise: term pairs.  Each row is added into one accumulator in
       place, and each step of Horner's rule is the product kernel
-      _convolve.  It bounds the work on sparse input of high degree,
-      whose grid would be too large to pack, and wins on small input,
-      where packing costs more than a few pairs.  The rule with a grid of
-      one cell, 1 + 2*(m + n) <= m*n, is tested first, before any
-      per-term work.
+      _convolve, itself packed where the size rule says.  It bounds the
+      work on sparse input of high degree, whose grid would be too large
+      to pack, and wins on small input, where packing costs more than a
+      few pairs.  The rule with a grid of one cell, 1 + 2*(m + n) <= m*n,
+      is tested first, before any per-term work.
 
     u and v share one ring, BiPoly, UniPoly or the rationals, and apply()
     returns an element of it; a UniPoly or a scalar is read as a

@@ -36,9 +36,9 @@ from .arith import (
     UniPoly,
     _affine_image,
     _cdiv,
-    _horner,
     _norm_fields,
     _rat,
+    _shift_image,
     frac_pair,
     is_keller,
 )
@@ -148,8 +148,8 @@ class ElementaryFactor(_FactorMap):
     def apply(self, pair):
         p, q = pair
         if self.axis == "first":
-            return (p + _horner(self.shift.terms(), q), q)
-        return (p, q + _horner(self.shift.terms(), p))
+            return (_shift_image(p, self.shift, q), q)
+        return (p, _shift_image(q, self.shift, p))
 
     def to_json_dict(self) -> dict:
         return {"kind": self._KIND, "axis": self.axis, "shift": self.shift.render()}

@@ -41,6 +41,20 @@ settings.load_profile("suite")
 DEG4_F = "y^4 - 2*x*y^2 - 4*y^3 + x^2 + 4*x*y - 7*y^2 + 11*x + 21*y + 26"
 DEG4_G = "-y^2 + x + 2*y + 4"
 
+# A degree-16 tame map, the 67th word criterion 1 draws (seed 101), whose
+# inversion takes the packed product path (arith._mul_packed);
+# tests/golden/invert_deg16.txt inverts it.
+DEG16_F = "y^4 - 3*y^3 + 4*y^2 + x - 2*y - 2"
+DEG16_G = (
+    "2*y^16 - 24*y^15 + 140*y^14 + 8*x*y^12 - 520*y^13 - 72*x*y^11 + 1347*y^12"
+    " + 312*x*y^10 - 2505*y^11 + 12*x^2*y^8 - 840*x*y^9 + 3287*y^10 - 72*x^2*y^7"
+    " + 1491*x*y^8 - 2745*y^9 + 204*x^2*y^6 - 1698*x*y^7 + 790*y^8 + 8*x^3*y^4"
+    " - 336*x^2*y^5 + 995*x*y^6 + 1222*y^7 - 24*x^3*y^3 + 291*x^2*y^4 + 204*x*y^5"
+    " - 1694*y^6 + 32*x^3*y^2 - 57*x^2*y^3 - 800*x*y^4 + 660*y^5 + 2*x^4 - 16*x^3*y"
+    " - 132*x^2*y^2 + 428*x*y^3 + 344*y^4 - 15*x^3 + 90*x^2*y + 124*x*y^2 - 392*y^3"
+    " + 38*x^2 - 152*x*y + 24*y^2 - 32*x + 65*y - 1"
+)
+
 
 # ---------------------------------------------------------------------------
 # Random object generators (plain random.Random; hypothesis is used only
@@ -161,6 +175,16 @@ def eval_unipoly_naive(p: UniPoly, a: Fraction) -> Fraction:
     total = Fraction(0)
     for k, c in p.terms():
         total += Fraction(c) * a**k
+    return total
+
+
+def shift_image_naive(p, shift: UniPoly, q):
+    """p + shift(q) by the ring's own +, * and **, one term of the shift
+    at a time: no Horner, no Substitution.  Scalars are summed as
+    Fractions."""
+    total = p if isinstance(p, (BiPoly, UniPoly)) else Fraction(p)
+    for k, c in shift.terms():
+        total = total + c * q**k
     return total
 
 

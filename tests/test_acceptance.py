@@ -9,6 +9,7 @@ the same proofs with the packed kernels switched off, and the paper's
 inversion route against Jung-van der Kulk degree reduction.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -29,6 +30,7 @@ from kellerkit import (
     Certificate,
     ElementaryFactor,
     Factorization,
+    HypothesisViolated,
     JacobianNotConstant,
     Line,
     Parametrization,
@@ -273,6 +275,58 @@ def test_line_proofs_agree_with_packing_off(monkeypatch):
     assert run() == packed
     assert calls["pack"] == calls["_cross_packed"] == 0
     assert calls["_cross_sparse"] >= determinants
+
+
+def _criterion_1_maps(rng, count):
+    """Criterion 1's draws: tame maps of degree <= 16 with both components
+    of degree above 1."""
+    while count:
+        H = factorization_to_map(draw_tame_word(
+            rng, max_factors=5, max_shift_degree=4, coeff_bound=5, degree_cap=16
+        ))
+        if H.first.total_degree() > 1 and H.second.total_degree() > 1:
+            count -= 1
+            yield H
+
+
+def test_recognition_agrees_with_packing_off(monkeypatch):
+    """Line proofs rarely pack a product; recognition of criterion 1's
+    maps does.  With the size rule patched to never pack, criterion 1's
+    200 draws, built by their words and each paired with its non-Keller
+    H(x, y^2), give the same maps, decide_automorphism the same answer,
+    and similarity_check the same report or refusal, all down to the
+    JSON.  A spy on the packed product shows that it ran in the first
+    pass and never in the second."""
+    calls = []
+    kernel = arith._mul_packed
+
+    def spy(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    def run():
+        out = []
+        for H in _criterion_1_maps(random.Random(101), 200):
+            squared = PolyMap(*(BiPoly({(i, 2 * j): c for (i, j), c in w.terms()})
+                                for w in (H.first, H.second)))
+            for K in (H, squared):
+                word = decide_automorphism(K)
+                try:
+                    report = similarity_check(K.first, K.second).to_json_dict()
+                except HypothesisViolated as exc:
+                    report = str(exc)
+                answer = (word.to_json_list() if isinstance(word, Factorization)
+                          else word.to_json_dict())
+                out.append((K, json.dumps(answer), json.dumps(report)))
+        return out
+
+    monkeypatch.setattr(arith, "_mul_packed", spy)
+    packed = run()
+    assert calls
+    calls.clear()
+    monkeypatch.setattr(arith, "packs", lambda cells, m, n: False)
+    assert run() == packed
+    assert not calls
 
 
 def test_inversion_routes_agree():

@@ -879,6 +879,116 @@ class TestPackedSubstitution:
         assert time.perf_counter() - start < 2.0
 
 
+def _both_products(a: BiPoly, b: BiPoly) -> list:
+    """a*b on term pairs and then packed, with the size rule patched to
+    refuse and then to accept every product."""
+    out = []
+    for on in (False, True):
+        with mock.patch.object(arith, "packs", lambda cells, m, n: on), \
+                mock.patch.object(arith, "_mul_packed", wraps=arith._mul_packed) as packed:
+            out.append(a * b)
+        assert packed.called is on
+    return out
+
+
+def _assert_products_agree(a: BiPoly, b: BiPoly) -> BiPoly:
+    """Both paths give one value, stored in one canonical (_d, _t) form."""
+    pairs, packed = _both_products(a, b)
+    assert (packed._d, packed._t) == (pairs._d, pairs._t)
+    _assert_integer_form(packed)
+    assert dict(packed.terms()) == _fraction_convolution(a, b)
+    return packed
+
+
+def _abs_sum(p: BiPoly) -> int:
+    return sum(map(abs, p._t.values()))
+
+
+class TestPackedProduct:
+    """BiPoly products on _convolve's packed path (_mul_packed) against its
+    term pairs, each path forced by patching arith.packs: equal values,
+    stored in the same canonical form, on seeded input and at the edges
+    of the digit cells."""
+
+    def test_seeded_products_with_negative_coefficients(self, rng):
+        for _ in range(150):
+            a = random_bipoly(rng, rng.randint(0, 5), rng.choice((1, 9, 10**6, 10**40)))
+            b = random_bipoly(rng, rng.randint(0, 5), rng.choice((1, 9, 10**6)))
+            if rng.random() < 0.3:
+                a = a * random_fraction(rng)
+            _assert_products_agree(a, b)
+            _assert_products_agree(b, a)
+            _assert_products_agree(a, a)
+
+    @given(bipolys, bipolys)
+    def test_hypothesis_products(self, a, b):
+        _assert_products_agree(a, b)
+
+    def test_zero_operand(self, rng):
+        zero = BiPoly.zero()
+        for p in (zero, BiPoly.one(), X - Y * Fraction(1, 3), X * 10**30 - Y,
+                  random_bipoly(rng, 4, 5)):
+            assert _assert_products_agree(zero, p) == zero
+            assert _assert_products_agree(p, zero) == zero
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_cells_that_cancel(self, k):
+        """(x - y)(x^(k-1) + ... + y^(k-1)) = x^k - y^k: every cell but two
+        sums to zero; (p + q)(p - q) cancels the cross terms."""
+        geometric = sum((X**i * Y**(k - 1 - i) for i in range(k)), BiPoly.zero())
+        assert _assert_products_agree(X - Y, geometric) == X**k - Y**k
+        p, q = X**2 * 3 - Y + 1, X * Y * 2 + Y**3 - 5
+        assert _assert_products_agree(p + q, p - q) == p * p - q * q
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    def test_norm_product_at_cell_edges(self, k):
+        """The cells hold the product of the operands' sums of absolute
+        values, c: 2^(8k-1) - 1 fills k bytes with the sign bit, and
+        2^(8k-1) needs one byte more.  Single terms reach c itself, with
+        either sign; split terms reach it in their sum of absolute
+        values."""
+        for c in (2 ** (8 * k - 1) - 1, 2 ** (8 * k - 1)):
+            assert cell_bytes(c) == k + (c % 2 == 0)
+            for sign in (1, -1):
+                for a, b in ((X**2 * Y, Y**3), (BiPoly.one(), X), (Y**4, X**3 * Y)):
+                    got = _assert_products_agree(a * sign, b * c)
+                    assert got == a * b * (sign * c)
+                split = [(-(X**2) * Y * sign, X**3 * (c - 1) - Y**2)]
+                if c % 2 == 0:
+                    split.append((X * sign - Y, X * Y * (c // 2 - 1) + X * sign))
+                for a, b in split:
+                    assert _abs_sum(a) * _abs_sum(b) == c
+                    _assert_products_agree(a, b)
+
+    def test_term_at_the_last_column(self, rng):
+        """The product's x-degree is W - 1 by construction; with a negative
+        coefficient there the balanced digit borrows from the next row's
+        first cell."""
+        got = _assert_products_agree(Y - X**3, X**2 - 1)  # -x^5 + x^3 + x^2*y - y
+        assert got.coeff(5, 0) == -1 and got.coeff(0, 1) == -1
+        for _ in range(60):
+            a, b = random_bipoly(rng, 4, 7), random_bipoly(rng, 4, 7)
+            if not (a and b):
+                continue
+            top = max(i for i, _ in a.support()) + max(i for i, _ in b.support())
+            got = _assert_products_agree(a, b)
+            assert max(i for i, _ in got.support()) == top
+
+    def test_rule_packs_dense_and_refuses_sparse(self):
+        """The real rule: a dense square packs; eleven sparse terms of
+        degree up to 900,000 pass the test with one cell but not the
+        grid's, and stay on term pairs within the budget."""
+        dense = (X + Y + 1) ** 6
+        sparse = sum((X ** (10**5 * i) * Y ** (10**5 * (9 - i)) for i in range(10)), BiPoly.one())
+        for a, b, packs in ((dense, dense, True), (sparse, sparse + X, False)):
+            with mock.patch.object(arith, "_mul_packed", wraps=arith._mul_packed) as packed:
+                start = time.perf_counter()
+                got = a * b
+                assert time.perf_counter() - start < 2.0
+            assert packed.called is packs
+            assert dict(got.terms()) == _fraction_convolution(a, b)
+
+
 # ---------------------------------------------------------------------------
 # Maps, parametrizations, lines
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from kellerkit import (
     compose_map,
     factorization_to_map,
 )
-from kellerkit import cli
+from kellerkit import arith, cli
 from kellerkit.cli import (
     factorization_from_json,
     main,
@@ -44,7 +44,7 @@ from kellerkit.cli import (
 )
 from kellerkit.tame import AffineFactor
 
-from conftest import DEG4_F, DEG4_G
+from conftest import DEG16_F, DEG16_G, DEG4_F, DEG4_G
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -63,6 +63,8 @@ GOLDEN_CASES = [
     ("prove_line_shear_json", ["prove-line", "x + y^2", "y", "--line", "0,1,0", "--json"]),
     ("prove_line_deg4_json", ["prove-line", DEG4_F, DEG4_G, "--line", "1,-1,2", "--json"]),
     ("gen_auto_seed42_json", ["gen-auto", "--seed", "42", "--factors", "4", "--json"]),
+    # The inverse's powers take the packed product path.
+    ("invert_deg16", ["invert", DEG16_F, DEG16_G]),
 ]
 
 
@@ -833,3 +835,15 @@ class TestSubprocess:
         assert proc.returncode == 0, proc.stderr.decode()
         golden = (GOLDEN_DIR / (name + ".txt")).read_bytes()
         assert proc.stdout == golden
+
+    def test_a_golden_takes_the_packed_product(self, monkeypatch):
+        """invert_deg16 reaches arith._mul_packed, so the goldens, and the
+        console-script check that runs them, cover the packed product."""
+        calls = []
+        kernel = arith._mul_packed
+        monkeypatch.setattr(arith, "_mul_packed", lambda *args: calls.append(1) or kernel(*args))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(dict(GOLDEN_CASES)["invert_deg16"]) == 0
+        assert calls
+        assert out.getvalue() == (GOLDEN_DIR / "invert_deg16.txt").read_text()

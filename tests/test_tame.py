@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -23,10 +24,19 @@ from kellerkit import (
     invert_low_degree,
     random_tame,
 )
-from kellerkit import tame
+from kellerkit import arith, tame
 from kellerkit.tame import _peel, apply_factors
 
-from conftest import compose_uni, draw_tame_word, random_bipoly, random_unipoly
+from conftest import (
+    compose_uni,
+    draw_tame_word,
+    eval_bipoly_naive,
+    eval_unipoly_naive,
+    random_bipoly,
+    random_fraction,
+    random_unipoly,
+    shift_image_naive,
+)
 
 
 def x():
@@ -188,6 +198,93 @@ class TestElementaryFactor:
             "axis": "second",
             "shift": "x^2",
         }
+
+
+def _shift(rng) -> UniPoly:
+    """A zero, constant, integer or rational shift."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return UniPoly.zero()
+    if kind == 1:
+        return UniPoly.constant(random_fraction(rng) or 1)
+    shift = random_unipoly(rng, 6, 5, nonzero=True)
+    return shift * random_fraction(rng, 4) if kind == 3 and shift else shift
+
+
+def _pair(rng, ring):
+    """Two elements of ring, with rational coefficients about half the
+    time."""
+    def one():
+        if ring is BiPoly:
+            w = random_bipoly(rng, 3, 5)
+        elif ring is UniPoly:
+            w = random_unipoly(rng, 4, 5)
+        else:
+            return random_fraction(rng)
+        return w * random_fraction(rng, 3) if rng.random() < 0.5 else w
+    return one(), one()
+
+
+def _at(w, point):
+    """w at point, term by term; a UniPoly at the point's first value."""
+    if isinstance(w, BiPoly):
+        return eval_bipoly_naive(w, *point)
+    return eval_unipoly_naive(w, point[0])
+
+
+class TestElementaryKernel:
+    """apply sums p's numerators and each s_k*d_q^(e-k)*Q^k in one
+    accumulator over one denominator.  Against the ring's own operations,
+    term by term of the shift, it gives the same ring element in the same
+    canonical storage, in every ring: BiPoly, UniPoly and scalars; against
+    term-by-term evaluation at rational points, the same values."""
+
+    @pytest.mark.parametrize("ring", [BiPoly, UniPoly, Fraction])
+    def test_matches_the_naive_image(self, ring, rng):
+        for _ in range(120):
+            shift = _shift(rng)
+            p, q = _pair(rng, ring)
+            for axis in ("first", "second"):
+                got = ElementaryFactor(axis, shift).apply((p, q))
+                a, b = (p, q) if axis == "first" else (q, p)
+                value, kept = got if axis == "first" else got[::-1]
+                assert kept is b
+                want = shift_image_naive(a, shift, b)
+                if ring is Fraction:
+                    assert value == want
+                    assert type(value) is (int if want.denominator == 1 else Fraction)
+                    continue
+                assert type(value) is ring
+                assert (value._d, value._t) == (want._d, want._t)
+                for _ in range(3):
+                    point = random_fraction(rng), random_fraction(rng)
+                    assert _at(value, point) == _at(a, point) + sum(
+                        Fraction(c) * _at(b, point) ** k for k, c in shift.terms())
+
+    def test_zero_and_constant_shifts(self):
+        p, q = x() * Fraction(1, 2) + y(), y() * 3 - 1
+        assert ElementaryFactor("first", UniPoly.zero()).apply((p, q)) == (p, q)
+        third = UniPoly.constant(Fraction(1, 3))
+        got = ElementaryFactor("second", third).apply((p, q))[1]
+        assert got == q + Fraction(1, 3) and (got._d, got._t) == (3, {(0, 1): 9, (0, 0): -2})
+
+    def test_rational_q_gives_integer_image(self):
+        """q = y/2 and shift 4t^2 - 2t: every denominator cancels, and the
+        image stores ints over 1."""
+        q = y() * Fraction(1, 2)
+        got = ElementaryFactor("first", UniPoly({2: 4, 1: -2})).apply((x(), q))[0]
+        assert got == x() + y() ** 2 - y()
+        assert got._d == 1 and all(type(v) is int for v in got._t.values())
+
+    def test_powers_take_the_packed_product(self):
+        """A dense q and a shift of degree 6: the powers of q come from
+        BiPoly.__mul__, which packs them."""
+        q = (x() + y() + 1) ** 3
+        shift = UniPoly({k: k + 1 for k in range(7)})
+        with mock.patch.object(arith, "_mul_packed", wraps=arith._mul_packed) as packed:
+            got = ElementaryFactor("first", shift).apply((x(), q))
+        assert packed.called
+        assert got[0] == shift_image_naive(x(), shift, q)
 
 
 class TestFactorization:
