@@ -37,29 +37,24 @@ jacobian_det, the Keller gate, is one integer kernel with no
 intermediate BiPoly: it computes f_x*g_y - f_y*g_x on the numerators of
 f and g into one int dict.  With W and R the sums of the x-degrees and
 of the y-degrees of f and g, every term of the result lies in a W by R
-grid.  If W*R is 0 (f_x = g_x = 0 or f_y = g_y = 0) the result is 0.
-Otherwise an exact count of the work items of each strategy picks one,
-by the one size rule of every packed kernel, kronecker.packs:
-- W*R + 2*(m + n) <= m*n, for m and n terms in f and g: the grid cells
-  and the derivative terms the packing writes are no more than the term
-  pairs of the other strategy.  Kronecker substitution, x^i*y^j ->
-  2^(B*(i + j*W)) (kronecker.py).  The four derivatives are packed into
-  Python ints, and the cross product is two C bigint multiplications.
-  B is a whole number of bytes holding |f_x|*|g_y| + |f_y|*|g_x| (|.|
-  the sum of absolute values, a bound on every coefficient of the
-  result), every packed coefficient, and a sign bit.  The result's
-  balanced base-2^B digits are read up to its top digit only, so a
-  Keller map's constant Jacobian unpacks in O(1).
-- otherwise: one pass over the term pairs, adding (i1*j2 - j1*i2)*a*b at
-  (i1 + i2 - 1, j1 + j2 - 1).  It bounds the work on sparse input of
-  high degree, whose grid would be too large to pack, and wins on small
-  maps, where packing four lists costs more than a few pairs.
+grid.  If W*R is 0 (f_x = g_x = 0 or f_y = g_y = 0) the result is 0,
+and no grid is built.  Otherwise the one size rule of every packed
+kernel, kronecker.packs(W*R, m, n) for m and n terms in f and g, picks
+one of two strategies:
+- packed: the sum of two products, f_x*g_y + g_x*(-f_y), through the
+  packed product kernel, kronecker._mul_packed, with one unpack.  Its
+  cells hold |f_x|*|g_y| + |f_y|*|g_x| (|.| the sum of absolute values,
+  a bound on every coefficient of the result), and only the digits up
+  to the top one are read, so a Keller map's constant Jacobian unpacks
+  in O(1);
+- otherwise, one pass over the term pairs with the cross weight,
+  adding (i1*j2 - j1*i2)*a*b at (i1 + i2 - 1, j1 + j2 - 1).  It bounds
+  the work on sparse input of high degree, whose grid would be too
+  large to pack, and wins on small maps.
 _convolve picks its strategy by the same rule, with W and R one more
-than the sums of the operands' x-degrees and y-degrees: packed
-(kronecker._mul_packed), in cells that hold the product of the
-operands' sums of absolute values, the operand with more rows in y
-packed whole and the other one row at a time, or one pass over the term
-pairs.  The rule with a grid of one cell,
+than the sums of the operands' x-degrees and y-degrees: the same packed
+kernel on its one pair, the operand with fewer rows in y going by rows,
+or one pass over the term pairs.  The rule with a grid of one cell,
 1 + 2*(m + n) <= m*n, is tested first, before any per-term work, so the
 small products of line proofs leave at once.  The powers of elementary
 factors at high degree are dense, and pack.  The Jacobian, products and
@@ -99,7 +94,7 @@ from math import gcd, lcm
 from typing import Union
 
 from .errors import DegenerateResultant, InvalidLine
-from .kronecker import _cross_packed, _mul_packed, cell_bytes, digits, pack, packs, unpack
+from .kronecker import _mul_packed, cell_bytes, digits, pack, packs, unpack
 from .subresultant import _pack_rows, _subresultants
 
 Coeff = Union[int, Fraction]
@@ -453,7 +448,7 @@ def _convolve(a, b) -> dict:
     if packs(1, m, n):
         (ax, ay), (bx, by) = (_degrees([k for k, _ in w]) for w in (a, b))
         if packs((ax + bx + 1) * (ay + by + 1), m, n):  # the operand with fewer rows goes by rows
-            return _mul_packed(a, b, ax + bx + 1) if by <= ay else _mul_packed(b, a, ax + bx + 1)
+            return _mul_packed(((a, b) if by <= ay else (b, a),), ax + bx + 1)
     out: dict[tuple[int, int], int] = {}
     get = out.get
     for (i1, j1), v1 in a:
@@ -823,15 +818,17 @@ def jacobian_det(H: PolyMap) -> BiPoly:
 def _jacobian(p: BiPoly, q: BiPoly) -> BiPoly:
     """jacobian_det's kernel, on p's and q's numerators f and g."""
     f, g = p._t, q._t
-    a, b = f.items(), g.items()
-    width = max((i for i, _ in f), default=0) + max((i for i, _ in g), default=0)
-    rows = max((j for _, j in f), default=0) + max((j for _, j in g), default=0)
+    (px, py), (qx, qy) = _degrees(f), _degrees(g)
+    width, rows = px + qx, py + qy
     if not width * rows:  # f_x = g_x = 0 or f_y = g_y = 0
         return BiPoly.zero()
     if packs(width * rows, len(f), len(g)):
-        out = _cross_packed(a, b, width)
+        fx, gx = ([((i - 1, j), i * n) for (i, j), n in t.items() if i] for t in (f, g))
+        gy = [((i, j - 1), j * n) for (i, j), n in g.items() if j]
+        minus_fy = [((i, j - 1), -j * n) for (i, j), n in f.items() if j]
+        out = _mul_packed(((fx, gy), (gx, minus_fy)), width)
     else:
-        out = _cross_sparse(a, b)
+        out = _cross_sparse(f.items(), g.items())
     return BiPoly._reduce(out, p._d * q._d)
 
 

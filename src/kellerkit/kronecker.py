@@ -7,10 +7,11 @@ size of the intermediates.  It is undone on a polynomial whose x-degree
 is below width and whose coefficients lie in [-2^(B-1), 2^(B-1)): they
 are the balanced base-2^B digits of its int.  B is a whole number of
 bytes, nb, so packing and unpacking copy bytes, in time linear in the
-number of cells.  arith packs the Jacobian's cross product
-(_cross_packed, here), every product of two BiPolys (_mul_packed, here)
-and substitutions whose result cancels to few terms, so unpacking reads
-few digits; one size rule, packs, decides for all three.
+number of cells.  arith packs every product of two BiPolys and the
+Jacobian's cross product, a sum of two products, through one kernel
+(_mul_packed, here), and substitutions whose result cancels to few
+terms, so unpacking reads few digits; one size rule, packs, decides for
+all of them.
 subresultant.py packs rows in y at x = 2^B alone, so resultants and
 gcds run on ints, read by digits.
 """
@@ -73,43 +74,30 @@ def unpack(packed: int, nb: int, width: int) -> dict:
     return {(k % width, k // width): n for k, n in digits(packed, nb).items()}
 
 
-def _cross_packed(a, b, width: int) -> dict:
-    """f_x*g_y - f_y*g_x for integer term lists a of f and b of g, packed:
-    the packed strategy of arith.jacobian_det, where width exceeds the
-    x-degree of every term of the result.
+def _mul_packed(pairs, width: int) -> dict:
+    """The sum of the products a*b over pairs of integer term lists,
+    packed, with one unpack: the packed strategy of arith._convolve (one
+    pair) and of arith.jacobian_det (f_x*g_y + g_x*(-f_y)), where width
+    exceeds the x-degree of every term of the sum and of every a.  With
+    |.| the sum of absolute values, the cells hold the sum of |a|*|b|,
+    a bound on every coefficient of the sum, and every |a| and |b|.
 
-    A term of f_y (g_y) can reach x-degree width only when g (f) has no
-    x, so its product with g_x (f_x) is zero whatever it packs to.
-    """
-    fx = [((i - 1, j), i * n) for (i, j), n in a if i]
-    fy = [((i, j - 1), j * n) for (i, j), n in a if j]
-    gx = [((i - 1, j), i * n) for (i, j), n in b if i]
-    gy = [((i, j - 1), j * n) for (i, j), n in b if j]
-
-    # With |.| the sum of absolute values, every coefficient of the
-    # result is at most |fx|*|gy| + |fy|*|gx| in magnitude, and every
-    # packed one at most the |.| of its list.
-    nx, ny, mx, my = (sum(abs(n) for _, n in t) for t in (fx, fy, gx, gy))
-    nb = cell_bytes(max(nx * my + ny * mx, nx, ny, mx, my))
-    fx, fy, gx, gy = (pack(t, nb, width) for t in (fx, fy, gx, gy))
-    return unpack(fx * gy - fy * gx, nb, width)
-
-
-def _mul_packed(a, b, width: int) -> dict:
-    """The product of integer term lists a and b, packed: the packed
-    strategy of arith._convolve, where width exceeds the x-degree of the
-    product.  With |.| the sum of absolute values, |a|*|b| bounds every
-    coefficient of the product, and |a| and |b| every packed one.
-
-    b goes in one row (one power of y) at a time: a's int times the row's
-    int, shifted up by the row's cells.  Packed whole, b spans all the
-    cells between its rows, mostly empty, and CPython's Karatsuba
-    product of the two ints took up to 5 times as long as the rows."""
-    na, nb = (sum(abs(n) for _, n in t) for t in (a, b))
-    cells = cell_bytes(max(na * nb, na, nb))
-    rows: dict[int, list] = {}
-    for (i, j), n in b:
-        rows.setdefault(j, []).append(((i, 0), n))
-    pa, shift = pack(a, cells, width), 8 * cells * width
-    return unpack(sum(pa * pack(row, cells, width) << shift * j for j, row in rows.items()),
-                  cells, width)
+    Each b goes in one row (one power of y) at a time, packed by shifts:
+    a's int times the row's int, shifted up by the row's cells.  Packed
+    whole, b spans all the cells between its rows, mostly empty, and
+    CPython's Karatsuba product of the two ints took up to 5 times as
+    long as the rows.  Shifts cost O(r^2) cells on a row of r terms,
+    and win below a few thousand terms per row.  A term of b may reach x-degree width only where a
+    is empty (a derivative of a map component with no x), so its
+    product is zero whatever it packs to."""
+    norms = [(sum(abs(n) for _, n in a), sum(abs(n) for _, n in b)) for a, b in pairs]
+    cells = cell_bytes(max(sum(na * nb for na, nb in norms), *map(max, norms)))
+    bits = 8 * cells
+    total = 0
+    for a, b in pairs:
+        rows: dict[int, int] = {}
+        for (i, j), n in b:
+            rows[j] = rows.get(j, 0) + (n << bits * i)
+        pa = pack(a, cells, width)
+        total += sum(pa * row << bits * width * j for j, row in rows.items())
+    return unpack(total, cells, width)

@@ -41,6 +41,23 @@ settings.load_profile("suite")
 DEG4_F = "y^4 - 2*x*y^2 - 4*y^3 + x^2 + 4*x*y - 7*y^2 + 11*x + 21*y + 26"
 DEG4_G = "-y^2 + x + 2*y + 4"
 
+# Two dense degree-6 polynomials with mixed signs (28 terms each, drawn
+# with random.Random(24)): not a Keller map, and its Jacobian, 65 terms
+# of degree up to 10, takes the packed path (arith._mul_packed on the sum
+# of two products); tests/golden/jac_dense_deg6.txt computes it.
+DENSE6_F = (
+    "-9*x^6 + 9*x^5*y - 3*x^4*y^2 - 8*x^3*y^3 - 3*x^2*y^4 - 9*x*y^5 - y^6 + 9*x^5"
+    " + 8*x^4*y + 4*x^3*y^2 + 2*x^2*y^3 + 5*x*y^4 + 8*y^5 - 3*x^4 + 9*x^3*y"
+    " + 2*x^2*y^2 + 3*x*y^3 + y^4 + 5*x^3 - 6*x^2*y + 2*x*y^2 - 3*y^3 + x^2 + 5*x*y"
+    " - 3*y^2 - 8*x - 3*y + 3"
+)
+DENSE6_G = (
+    "7*x^6 + 5*x^5*y - 7*x^4*y^2 + 3*x^3*y^3 + 9*x^2*y^4 + 8*x*y^5 + 6*y^6 + 7*x^5"
+    " - 5*x^4*y + 6*x^3*y^2 + 9*x^2*y^3 - 8*x*y^4 + 2*y^5 + 2*x^4 - 5*x^3*y"
+    " + 7*x^2*y^2 + x*y^3 - 5*y^4 + 7*x^3 - 2*x^2*y + 4*x*y^2 - 7*y^3 + 2*x^2 - 7*x*y"
+    " + 9*y^2 + 5*x - 5*y - 2"
+)
+
 # A degree-16 tame map, the 67th word criterion 1 draws (seed 101), whose
 # inversion takes the packed product path (arith._mul_packed);
 # tests/golden/invert_deg16.txt inverts it.

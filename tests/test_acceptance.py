@@ -241,16 +241,21 @@ def test_line_proofs_agree_with_packing_off(monkeypatch):
     Substitution run on term pairs, and criterion 5's first 50 draws give
     the same inverse, word JSON and certificate JSON, and verify_certificate
     the same verdict on each certificate and on a tampered copy.  The
-    second pass runs the term-pair Jacobian at least once for every
-    determinant the first computed, so no answer jacobian_det kept from
-    the first pass stands in for it."""
-    calls = dict.fromkeys(("pack", "_cross_packed", "_cross_sparse"), 0)
+    first pass reaches the packed product from the Jacobian, whose packed
+    path is the one caller of _mul_packed with two pairs.  The second pass
+    runs the term-pair Jacobian at least once for every determinant the
+    first computed, so no answer jacobian_det kept from the first pass
+    stands in for it."""
+    calls = dict.fromkeys(("pack", "_mul_packed", "_cross_sparse"), 0)
+    crosses = []  # the packed Jacobian's calls of _mul_packed
 
     def spy(name):
         kernel = getattr(arith, name)
 
         def counted(*args):
             calls[name] += 1
+            if name == "_mul_packed" and len(args[0]) == 2:
+                crosses.append(1)
             return kernel(*args)
         return counted
 
@@ -267,13 +272,13 @@ def test_line_proofs_agree_with_packing_off(monkeypatch):
     for name in calls:
         monkeypatch.setattr(arith, name, spy(name))
     packed = run()
-    assert calls["pack"] > 0 and calls["_cross_packed"] > 0
+    assert calls["pack"] > 0 and crosses
     assert all(ok and not tampered_ok for *_, ok, tampered_ok in packed)
-    determinants = calls["_cross_packed"] + calls["_cross_sparse"]
+    determinants = len(crosses) + calls["_cross_sparse"]
     calls.update(dict.fromkeys(calls, 0))
     monkeypatch.setattr(arith, "packs", lambda cells, m, n: False)
     assert run() == packed
-    assert calls["pack"] == calls["_cross_packed"] == 0
+    assert calls["pack"] == calls["_mul_packed"] == 0
     assert calls["_cross_sparse"] >= determinants
 
 
@@ -295,14 +300,15 @@ def test_recognition_agrees_with_packing_off(monkeypatch):
     200 draws, built by their words and each paired with its non-Keller
     H(x, y^2), give the same maps, decide_automorphism the same answer,
     and similarity_check the same report or refusal, all down to the
-    JSON.  A spy on the packed product shows that it ran in the first
-    pass and never in the second."""
-    calls = []
+    JSON.  A spy on the packed kernel shows that the packed product (its
+    calls with one pair, from _convolve; the Jacobian passes two) ran in
+    the first pass, and that the kernel never ran in the second."""
+    calls = []  # the number of pairs of each call of _mul_packed
     kernel = arith._mul_packed
 
-    def spy(*args):
-        calls.append(1)
-        return kernel(*args)
+    def spy(pairs, width):
+        calls.append(len(pairs))
+        return kernel(pairs, width)
 
     def run():
         out = []
@@ -322,7 +328,7 @@ def test_recognition_agrees_with_packing_off(monkeypatch):
 
     monkeypatch.setattr(arith, "_mul_packed", spy)
     packed = run()
-    assert calls
+    assert calls.count(1) > 0
     calls.clear()
     monkeypatch.setattr(arith, "packs", lambda cells, m, n: False)
     assert run() == packed

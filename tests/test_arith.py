@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from unittest import mock
 
 import pytest
@@ -36,14 +36,12 @@ from kellerkit import (
 )
 from kellerkit import arith, subresultant
 from kellerkit.arith import (
-    _cross_packed,
-    _cross_sparse,
     _primitive_part,
     frac_pair,
     line_parametrization,
 )
 from kellerkit.cli import parse_bipoly
-from kellerkit.kronecker import cell_bytes, digits
+from kellerkit.kronecker import _mul_packed, cell_bytes, digits
 from kellerkit.subresultant import _cells, _pack, _pack_rows
 
 from conftest import (
@@ -91,12 +89,6 @@ def _fraction_convolution(p: BiPoly, q: BiPoly) -> dict:
             k = (i1 + i2, j1 + j2)
             out[k] = out.get(k, Fraction(0)) + Fraction(v1) * Fraction(v2)
     return {k: v for k, v in out.items() if v}
-
-
-def _numerator_terms(p: BiPoly) -> list:
-    """p's terms scaled to integers by the lcm of their denominators."""
-    d = lcm(*[Fraction(c).denominator for _, c in p.terms()])
-    return [(k, int(c * d)) for k, c in p.terms()]
 
 
 def _assert_stored_reduced(p: BiPoly) -> None:
@@ -989,6 +981,89 @@ class TestPackedProduct:
             assert dict(got.terms()) == _fraction_convolution(a, b)
 
 
+def _pair_sum(pairs) -> dict:
+    """The sum of a*b over pairs of integer term lists, term pair by term
+    pair, free of zeros."""
+    out: dict = {}
+    for a, b in pairs:
+        for (i1, j1), n1 in a:
+            for (i2, j2), n2 in b:
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + n1 * n2
+    return {k: n for k, n in out.items() if n}
+
+
+def _assert_sum_packs(pairs) -> dict:
+    """_mul_packed on pairs, at the least width above every x-degree of
+    the sum, against term pairs."""
+    width = 1 + sum(max((i for t in side for (i, _), _ in t), default=0) for side in zip(*pairs))
+    got = _mul_packed(pairs, width)
+    assert got == _pair_sum(pairs)
+    return got
+
+
+def _random_terms(rng, rows: int, cols: int, bound: int) -> list:
+    """A random term list with nonzero coefficients in [-bound, bound]."""
+    return [((i, j), rng.choice((-1, 1)) * rng.randint(1, bound))
+            for i in range(cols) for j in range(rows) if rng.random() < 0.7]
+
+
+class TestPackedSum:
+    """_mul_packed on two pairs, the Jacobian's f_x*g_y + g_x*(-f_y),
+    against term pairs: the cells must hold the sum of the products'
+    bounds, and each b, which goes in by rows, must land on its rows."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    def test_summed_bound_at_cell_edges(self, k):
+        """Two single-term products meet at x*y with |a|*|b| of p and q,
+        p + q = c: 2^(8k-1) - 1 fills k bytes with the sign bit, and
+        2^(8k-1) needs one byte more, though each product alone fits one
+        byte less."""
+        for c in (2 ** (8 * k - 1) - 1, 2 ** (8 * k - 1)):
+            p, q = c - c // 2, c // 2
+            assert cell_bytes(c) == k + (c % 2 == 0)
+            if c % 2 == 0:
+                assert cell_bytes(p) == cell_bytes(q) == k
+            for s, t in ((1, 1), (-1, -1), (1, -1)):
+                pairs = (([((1, 0), s)], [((0, 1), p)]), ([((0, 1), t)], [((1, 0), q)]))
+                assert _assert_sum_packs(pairs) == ({(1, 1): s * p + t * q} if s * p + t * q else {})
+            # Split terms reach the bound in their sums of absolute values.
+            _assert_sum_packs((([((2, 0), 1), ((0, 1), -1)], [((0, 1), -p)]),
+                               ([((1, 1), -1)], [((1, 0), q)])))
+
+    def test_negative_coefficients_at_row_borders(self, rng):
+        """Each b, the operand that goes by rows, has negative terms at
+        x^0 and at its top x-degree in every row, so balanced digits borrow
+        across row borders, and the sum's top x-degree is width - 1."""
+        b = [((0, 0), -1), ((2, 0), -3), ((0, 1), -2), ((2, 1), -1), ((1, 2), 4), ((0, 2), -5), ((2, 2), -7)]
+        a = [((0, 0), 1), ((1, 0), -2)]
+        got = _assert_sum_packs(((a, b), (b, a)))
+        assert got[(3, 2)] == 28 and got[(0, 1)] == -4
+        got = _assert_sum_packs(((a, b), ([((1, 1), 3)], b)))
+        assert got[(3, 0)] == 6 and got[(3, 3)] == -21
+        for _ in range(200):
+            pairs = []
+            for _ in range(2):
+                cols, rows = rng.randint(1, 4), rng.randint(1, 4)
+                b = _random_terms(rng, rows, cols, rng.choice((1, 9, 10**6)))
+                b += [((i, j), -rng.randint(1, 9)) for j in range(rows) for i in (0, cols)]
+                pairs.append((_random_terms(rng, rng.randint(1, 3), rng.randint(1, 4), 9), list(dict(b).items())))
+            _assert_sum_packs(pairs)
+
+    def test_pair_with_an_empty_operand(self, rng):
+        """An empty a or b adds nothing; a b term at x-degree width, as a
+        derivative of a component with no x packs when the other has no
+        x, adds nothing beside an empty a."""
+        a, b = _random_terms(rng, 3, 3, 9), _random_terms(rng, 3, 3, 9)
+        want = _pair_sum(((a, b),))
+        for empty in (([], b), (a, [])):
+            assert _assert_sum_packs(((a, b), empty)) == want
+            assert _assert_sum_packs((empty, (a, b))) == want
+        assert _assert_sum_packs((([], []), ([], b))) == {}
+        width = 1 + max(i for (i, _), _ in a) + max(i for (i, _), _ in b)
+        assert _mul_packed(((a, b), ([], [((width, 0), -5), ((width, 2), 7)])), width) == want
+
+
 # ---------------------------------------------------------------------------
 # Maps, parametrizations, lines
 # ---------------------------------------------------------------------------
@@ -1046,14 +1121,21 @@ def _jacobian_oracle(H: PolyMap) -> BiPoly:
 
 def _assert_jacobian(H: PolyMap) -> BiPoly:
     """jacobian_det against the oracle, terms and stored types, and its
-    two strategies against each other on H's numerators."""
+    kernel with each strategy forced by patching arith.packs: packed
+    (_mul_packed, wherever the grid is not empty) and term pairs store
+    the same (_d, _t)."""
     got, want = jacobian_det(H), _jacobian_oracle(H)
     assert got == want
     assert [type(c) for _, c in got.terms()] == [type(c) for _, c in want.terms()]
     _assert_stored_reduced(got)
-    a, b = _numerator_terms(H.first), _numerator_terms(H.second)
-    width = max(H.first.degree_x(), 0) + max(H.second.degree_x(), 0)
-    assert _cross_packed(a, b, width) == _cross_sparse(a, b)
+    f, g = H.first, H.second
+    grid = (max(f.degree_x(), 0) + max(g.degree_x(), 0)) * (max(f.degree_y(), 0) + max(g.degree_y(), 0))
+    for on in (True, False):
+        with mock.patch.object(arith, "packs", lambda cells, m, n: on), \
+                mock.patch.object(arith, "_mul_packed", wraps=arith._mul_packed) as packed:
+            forced = arith._jacobian(f, g)
+        assert packed.called is (on and grid > 0)
+        assert (forced._d, forced._t) == (got._d, got._t)
     return got
 
 
@@ -1158,22 +1240,26 @@ class TestJacobian:
         for H in maps:
             assert jacobian_det(H).is_zero()
             assert _jacobian_oracle(H).is_zero()
+        # The empty-grid check comes before the size rule: forced to pack,
+        # the kernel still builds no grid.
+        with mock.patch.object(arith, "packs", lambda cells, m, n: True):
+            for H in maps:
+                assert arith._jacobian(H.first, H.second).is_zero()
         assert time.perf_counter() - start < 2.0
 
 
 @pytest.fixture
 def kernel_runs(monkeypatch):
-    """The (f, g) term dicts of every run of jacobian_det's two kernels."""
+    """The (f, g) numerator dicts of every run of jacobian_det's kernel,
+    arith._jacobian."""
     runs = []
+    kernel = arith._jacobian
 
-    def spy(kernel):
-        def counted(a, b, *rest):
-            runs.append((dict(a), dict(b)))
-            return kernel(a, b, *rest)
-        return counted
+    def counted(p, q):
+        runs.append((dict(p._t), dict(q._t)))
+        return kernel(p, q)
 
-    for name in ("_cross_packed", "_cross_sparse"):
-        monkeypatch.setattr(arith, name, spy(getattr(arith, name)))
+    monkeypatch.setattr(arith, "_jacobian", counted)
     return runs
 
 

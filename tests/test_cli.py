@@ -44,7 +44,7 @@ from kellerkit.cli import (
 )
 from kellerkit.tame import AffineFactor
 
-from conftest import DEG16_F, DEG16_G, DEG4_F, DEG4_G
+from conftest import DEG16_F, DEG16_G, DEG4_F, DEG4_G, DENSE6_F, DENSE6_G
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -65,6 +65,8 @@ GOLDEN_CASES = [
     ("gen_auto_seed42_json", ["gen-auto", "--seed", "42", "--factors", "4", "--json"]),
     # The inverse's powers take the packed product path.
     ("invert_deg16", ["invert", DEG16_F, DEG16_G]),
+    # A dense non-Keller pair: the Jacobian takes the packed path.
+    ("jac_dense_deg6", ["jac", DENSE6_F, DENSE6_G]),
 ]
 
 
@@ -837,13 +839,36 @@ class TestSubprocess:
         assert proc.stdout == golden
 
     def test_a_golden_takes_the_packed_product(self, monkeypatch):
-        """invert_deg16 reaches arith._mul_packed, so the goldens, and the
+        """invert_deg16 reaches arith._mul_packed with one pair, from
+        _convolve (the Jacobian passes two), so the goldens, and the
         console-script check that runs them, cover the packed product."""
-        calls = []
+        calls = []  # the number of pairs of each call
         kernel = arith._mul_packed
-        monkeypatch.setattr(arith, "_mul_packed", lambda *args: calls.append(1) or kernel(*args))
+        monkeypatch.setattr(arith, "_mul_packed",
+                            lambda pairs, width: calls.append(len(pairs)) or kernel(pairs, width))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(dict(GOLDEN_CASES)["invert_deg16"]) == 0
-        assert calls
+        assert calls.count(1) > 0
         assert out.getvalue() == (GOLDEN_DIR / "invert_deg16.txt").read_text()
+
+    def test_a_golden_takes_the_packed_jacobian(self, monkeypatch):
+        """jac_dense_deg6 reaches arith._mul_packed through the Jacobian's
+        kernel, arith._jacobian, so the goldens cover the packed sum of
+        two products."""
+        calls, inside = [], []
+        jacobian, kernel = arith._jacobian, arith._mul_packed
+
+        def entered(p, q):
+            inside.append(1)
+            det = jacobian(p, q)
+            inside.pop()
+            return det
+
+        monkeypatch.setattr(arith, "_jacobian", entered)
+        monkeypatch.setattr(arith, "_mul_packed", lambda *args: calls.append(bool(inside)) or kernel(*args))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(dict(GOLDEN_CASES)["jac_dense_deg6"]) == 0
+        assert calls == [True]
+        assert out.getvalue() == (GOLDEN_DIR / "jac_dense_deg6.txt").read_text()
