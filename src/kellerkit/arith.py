@@ -24,14 +24,17 @@ numerators and runs Horner's rule in v's numerators, on term pairs
 through _convolve or packed (see Substitution).  The subresultant
 sequence behind resultant_y, gcd_bivariate and gcd_univariate runs on
 Python ints, each row in y packed at x = 2^B (see subresultant.py).  An
-affine image a*p + b*q + e sums p's and q's numerators over one shared
-denominator, and so does an elementary factor's image p + s(q), in one
-kernel, _shift_image: the powers of q come from BiPoly.__mul__, so they
-pack by the size rule, and p's numerators and every s_k*d_q^(e-k)*Q^k
-(s_k the shift's numerators, Q the numerators of q over d_q, e the
-shift's degree) are summed in one accumulator and reduced once.  A UniPoly or a
-scalar is read as a polynomial in x alone, so every ring takes the same
-path; a UniPoly composition is a Substitution of a pair of UniPoly.
+affine factor's image (a*p + b*q + e)/D reads its integer form, int rows
+(a, b, e) over D computed once, and sums p's and q's numerators over
+D*lcm(d_p, d_q) (_affine_image).
+An elementary factor's image p + s(q) is one kernel, _shift_image: the
+powers of q come from BiPoly.__mul__, so they pack by the size rule, and
+p's numerators and every s_k*d_q^(e-k)*Q^k (s_k the shift's numerators,
+Q the numerators of q over d_q, e the shift's degree) are summed in one
+accumulator and reduced once.  A UniPoly or a scalar is read as a
+polynomial in x alone, so every ring takes the same path: a UniPoly
+composition is a Substitution of a pair of UniPoly, and a UniPoly
+product is the BiPoly product on the x axis.
 
 jacobian_det, the Keller gate, is one integer kernel with no
 intermediate BiPoly: it computes f_x*g_y - f_y*g_x on the numerators of
@@ -379,10 +382,7 @@ class UniPoly(_SparsePoly):
             if isinstance(other, (int, Fraction)):
                 return self._scale(other)
             return NotImplemented
-        out: dict[int, int] = {}
-        for k1, v1 in self._t.items():
-            _axpy(out, v1, [(k1 + k2, v2) for k2, v2 in other._t.items()])
-        return UniPoly._reduce(out, self._d * other._d)
+        return (self.to_bipoly() * other.to_bipoly()).on_x_axis()
 
     __rmul__ = __mul__
 
@@ -569,24 +569,23 @@ def _in_ring(ring: type, terms: dict, d: int):
     return _rat(terms.get((0, 0), 0), d)
 
 
-def _affine_image(pair, rows) -> tuple:
-    """a*P + b*Q + e for each row (a, b, e) of scalars, with P and Q the
-    pair's elements, which share a ring (BiPoly, UniPoly or scalars), and
-    each component returned in that ring.  With P and Q numerators over
-    dP and dQ, a component is summed on them over the lcm of the
-    denominators of a/dP, b/dQ and e."""
+def _affine_image(pair, rows, D: int) -> tuple:
+    """The image of the pair (P, Q) under an affine factor's integer form:
+    (a*P + b*Q + e)/D for each int row (a, b, e), in the ring P and Q
+    share (BiPoly, UniPoly or scalars).  With P and Q numerators over dP
+    and dQ, each component is summed on them over D*lcm(dP, dQ), with no
+    per-coefficient denominator, and reduced once."""
     ring = _ring(*pair)
     (p, dp), (q, dq) = (_bivariate(w) for w in pair)
+    L = lcm(dp, dq)
+    sp, sq = L // dp, L // dq
     out = []
     for a, b, e in rows:
-        parts = [(c, n, d) for c, n, d in ((a, p, dp), (b, q, dq)) if c]
-        den = lcm(e.denominator, *[c.denominator * d for c, _, d in parts])
         acc: dict[tuple[int, int], int] = {}
-        for c, n, d in parts:
-            _axpy(acc, c.numerator * (den // (c.denominator * d)), n.items())
-        if e:
-            _axpy(acc, e.numerator * (den // e.denominator), (((0, 0), 1),))
-        out.append(_in_ring(ring, acc, den))
+        for c, terms in ((a * sp, p.items()), (b * sq, q.items()), (e * L, (((0, 0), 1),))):
+            if c:
+                _axpy(acc, c, terms)
+        out.append(_in_ring(ring, acc, D * L))
     return tuple(out)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from typing import Union
 
 from .arith import (
@@ -60,7 +60,12 @@ class _FactorMap:
 
 @dataclass(frozen=True)
 class AffineFactor(_FactorMap):
-    """The affine map (x, y) |-> (a11 x + a12 y + b1, a21 x + a22 y + b2)."""
+    """The affine map (x, y) |-> (a11 x + a12 y + b1, a21 x + a22 y + b2).
+
+    _form, its integer form computed once, is (D, m11, m12, m21, m22, c1,
+    c2): the matrix M and translation c over D > 0, with no common factor,
+    so equal factors store equal forms.  It is not a field: equality,
+    hash, repr and JSON see the fields alone."""
 
     _KIND = "affine"
 
@@ -73,46 +78,39 @@ class AffineFactor(_FactorMap):
 
     def __post_init__(self):
         _norm_fields(self)
+        fields = (self.a11, self.a12, self.a21, self.a22, self.b1, self.b2)
+        D = lcm(*[v.denominator for v in fields])  # canonical, as in _SparsePoly.__init__
+        object.__setattr__(self, "_form", (D, *[v.numerator * D // v.denominator for v in fields]))
         if self.det() == 0:
             raise ValueError("affine factor is singular")
 
     def det(self) -> Coeff:
-        return self.a11 * self.a22 - self.a12 * self.a21
+        D, m11, m12, m21, m22 = self._form[:5]
+        return _rat(m11 * m22 - m12 * m21, D * D)
 
     def is_identity(self) -> bool:
-        return (
-            self.a11 == 1
-            and self.a22 == 1
-            and not self.a12
-            and not self.a21
-            and not self.b1
-            and not self.b2
-        )
+        return self._form == (1, 1, 0, 0, 1, 0, 0)
 
     def inverse(self) -> "AffineFactor":
-        """With M and c the integer matrix and translation over D, the lcm
-        of the six denominators, the inverse is D*adj(M)/det(M) with
-        translation -adj(M)*c/det(M): six exact quotients.  They are
-        normalized coefficients of a nonsingular map already, so the result
-        skips __post_init__'s checks."""
-        fields = (self.a11, self.a12, self.a21, self.a22, self.b1, self.b2)
-        D = lcm(*[v.denominator for v in fields])
-        m11, m12, m21, m22, c1, c2 = (v.numerator * (D // v.denominator) for v in fields)
+        """D*adj(M) with translation -adj(M)*c, over det(M).  Its form is
+        canonical: the sign of det(M) goes into the numerators and one gcd
+        reduces it, so repeated inversion never grows the integers.  Its
+        fields are normalized already, so it skips __post_init__."""
+        D, m11, m12, m21, m22, c1, c2 = self._form
         det = m11 * m22 - m12 * m21
+        nums = (D * m22, -D * m12, -D * m21, D * m11, m12 * c2 - m22 * c1, m21 * c1 - m11 * c2)
+        g = gcd(det, *nums) if det > 0 else -gcd(det, *nums)
+        form = (det // g, *[n // g for n in nums])
         out = object.__new__(AffineFactor)
-        out.__dict__.update(zip(
-            self.__dataclass_fields__,
-            (_rat(n, det) for n in (D * m22, -D * m12, -D * m21, D * m11,
-                                    m12 * c2 - m22 * c1, m21 * c1 - m11 * c2)),
-        ))
+        out.__dict__.update(zip(self.__dataclass_fields__, [_rat(n, form[0]) for n in form[1:]]),
+                            _form=form)
         return out
 
     def apply(self, pair):
         """Compose with a pair of ring elements: self o (P, Q), summed on
         the integer numerators of P and Q."""
-        return _affine_image(
-            pair, ((self.a11, self.a12, self.b1), (self.a21, self.a22, self.b2))
-        )
+        D, m11, m12, m21, m22, c1, c2 = self._form
+        return _affine_image(pair, ((m11, m12, c1), (m21, m22, c2)), D)
 
     def to_json_dict(self) -> dict:
         return {

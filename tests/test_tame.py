@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -77,7 +78,12 @@ class TestAffineFactor:
 
     def test_identity(self):
         assert AffineFactor(1, 0, 0, 1).is_identity()
+        assert AffineFactor(Fraction(2, 2), 0, 0, Fraction(3, 3)).is_identity()
+        assert AffineFactor(1, 0, 0, 1).inverse().is_identity()
         assert not AffineFactor(1, 0, 0, 1, 1, 0).is_identity()
+        half = AffineFactor(1, 0, 0, 1, Fraction(1, 2), 0)
+        assert half._form == (2, 2, 0, 0, 2, 1, 0)
+        assert not half.is_identity() and not half.inverse().is_identity()
 
     def test_inverse_random(self, rng):
         for _ in range(15):
@@ -92,7 +98,10 @@ class TestAffineFactor:
     def test_inverse_of_fractional_factors(self, rng):
         """Random fractional factors, half with negative determinants: the
         inverse composes to the identity both ways, inverts back to A, and
-        stores its integral entries as int."""
+        stores its integral entries as int.  The inverse and the double
+        inverse store the canonical integer form, the one __post_init__
+        builds from their fields (positive D, no common factor), and det()
+        and is_identity() agree with the formulas on the fields."""
         signs = set()
         for _ in range(60):
             entries = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5))) for _ in range(6)]
@@ -106,6 +115,12 @@ class TestAffineFactor:
             assert inv.inverse() == A
             fields = (inv.a11, inv.a12, inv.a21, inv.a22, inv.b1, inv.b2)
             assert all(type(v) is int if v.denominator == 1 else type(v) is Fraction for v in fields)
+            for B in (A, inv, inv.inverse()):
+                a11, a12, a21, a22, b1, b2 = fields = (B.a11, B.a12, B.a21, B.a22, B.b1, B.b2)
+                assert B._form == AffineFactor(*fields)._form
+                assert B._form[0] > 0 and gcd(*B._form) == 1
+                assert B.det() == a11 * a22 - a12 * a21
+                assert B.is_identity() == (fields == (1, 0, 0, 1, 0, 0))
         assert signs == {True, False}
         B = AffineFactor(Fraction(1, 2), 0, 0, -1, Fraction(3, 2), 4).inverse()
         assert (B.a11, B.a22, B.b1, B.b2) == (2, -1, -3, 4)
