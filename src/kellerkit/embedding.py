@@ -172,7 +172,21 @@ class EmbeddingReport:
         }
 
 
+# (gamma, report) for the last curve is_embedding decided.
+_LAST_EMBEDDING: tuple = (None, None)
+
+
 def is_embedding(gamma: Parametrization) -> EmbeddingReport:
+    """Injectivity and immersion of gamma, with one witness.  The last
+    answer is kept by the identity of gamma, so rectify's check on the
+    curve prove_line has just tested reruns neither test.  Identity is a
+    sound key, as for jacobian_det's memo (arith's docstring): the entry
+    holds gamma, so its id is not reused, and a Parametrization never
+    changes.  An equal but distinct curve is decided afresh."""
+    global _LAST_EMBEDDING
+    last, report = _LAST_EMBEDDING  # one read: another thread may replace it
+    if last is gamma:
+        return report
     inj = is_injective_param(gamma)
     imm = is_immersion(gamma)
     if not imm.ok:
@@ -181,7 +195,9 @@ def is_embedding(gamma: Parametrization) -> EmbeddingReport:
         witness = inj.witness
     else:
         witness = None
-    return EmbeddingReport(injective=inj.ok, immersion=imm.ok, witness=witness)
+    report = EmbeddingReport(injective=inj.ok, immersion=imm.ok, witness=witness)
+    _LAST_EMBEDDING = (gamma, report)
+    return report
 
 
 def rectify(gamma: Parametrization) -> Factorization:

@@ -7,8 +7,12 @@ word of tame factors, plus a replayable Certificate recording every step
 of the argument:
 
 1. the Jacobian determinant is a nonzero constant;
-2. H restricted to the line is a parametrized curve gamma;
-3. gamma is injective (hypothesis) and an immersion (automatic);
+2. H restricted to the line is a parametrized curve gamma, read off
+   H o L on the first axis, where the affine factor L carries that axis
+   onto the line; H o L is composed once, for gamma and for G in step 5;
+3. gamma is injective (hypothesis) and an immersion (automatic), tested
+   once: rectify's own precondition check on the same gamma object gets
+   the remembered answer (embedding.is_embedding);
 4. a tame word Phi rectifies gamma onto the first axis;
 5. G = Phi o H o L fixes the first axis pointwise;
 6. a map fixing the axis pointwise collapses to min degree <= 1 -- the
@@ -39,7 +43,7 @@ from .arith import (
     compose_map,
     frac_pair,
     is_keller,
-    restrict_to_line,
+    line_parametrization,
 )
 from .embedding import EmbeddingReport, is_embedding, rectify
 from .errors import (
@@ -278,7 +282,9 @@ def prove_line(H: PolyMap, line: Line) -> tuple[PolyMap, Factorization, Certific
         raise JacobianNotConstant(gate.jacobian)
     steps = [JacobianConstant(gate.jacobian.constant_value())]
 
-    gamma, L = restrict_to_line(H, line)
+    L = line_parametrization(line)
+    hl = compose_map(H, L.to_map())
+    gamma = Parametrization(hl.first.on_x_axis(), hl.second.on_x_axis())
     steps.append(LineRestriction(gamma, L))
 
     report = is_embedding(gamma)
@@ -300,7 +306,6 @@ def prove_line(H: PolyMap, line: Line) -> tuple[PolyMap, Factorization, Certific
     phi = rectify(gamma)
     steps.append(Rectified(phi))
 
-    hl = compose_map(H, L.to_map())
     g1, g2 = apply_factors(phi.factors, (hl.first, hl.second))
     G = PolyMap(g1, g2)
     if G.first.on_x_axis() != UniPoly.x() or G.second.on_x_axis():

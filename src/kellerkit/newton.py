@@ -154,10 +154,12 @@ def similarity_check(f: BiPoly, g: BiPoly) -> SimilarityReport:
     JacobianNotConstant.
     """
     df, dg = f.total_degree(), g.total_degree()
-    if df <= 1:
-        raise HypothesisViolated("DegreeTooLow", "deg f = %s, need > 1" % df)
-    if dg <= 1:
-        raise HypothesisViolated("DegreeTooLow", "deg g = %s, need > 1" % dg)
+    for name, p, d in (("f", f, df), ("g", g, dg)):
+        if p.is_zero():
+            raise HypothesisViolated("DegreeTooLow", "%s is the zero polynomial, need deg %s > 1"
+                                     % (name, name))
+        if d <= 1:
+            raise HypothesisViolated("DegreeTooLow", "deg %s = %d, need > 1" % (name, d))
     gate = is_keller(PolyMap(f, g))
     jac = gate.jacobian
     if not gate.is_keller:

@@ -45,6 +45,7 @@ from .arith import (
 from .errors import PreconditionViolated, TheoremViolationWitness
 
 _AXES = ("first", "second")
+_IDENTITY = (1, 1, 0, 0, 1, 0, 0)  # the integer form of the identity map
 
 
 class _FactorMap:
@@ -89,7 +90,7 @@ class AffineFactor(_FactorMap):
         return _rat(m11 * m22 - m12 * m21, D * D)
 
     def is_identity(self) -> bool:
-        return self._form == (1, 1, 0, 0, 1, 0, 0)
+        return self._form == _IDENTITY
 
     def inverse(self) -> "AffineFactor":
         """D*adj(M) with translation -adj(M)*c, over det(M).  Its form is
@@ -109,8 +110,7 @@ class AffineFactor(_FactorMap):
     def apply(self, pair):
         """Compose with a pair of ring elements: self o (P, Q), summed on
         the integer numerators of P and Q."""
-        D, m11, m12, m21, m22, c1, c2 = self._form
-        return _affine_image(pair, ((m11, m12, c1), (m21, m22, c2)), D)
+        return _form_image(pair, self._form)
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,11 +177,55 @@ class Factorization:
         return [f.to_json_dict() for f in self.factors]
 
 
+def _form_image(pair, form):
+    """The image of pair under the affine map of an integer form."""
+    D, m11, m12, m21, m22, c1, c2 = form
+    return _affine_image(pair, ((m11, m12, c1), (m21, m22, c2)), D)
+
+
+def _affine_form(f):
+    """f's integer form in AffineFactor._form's layout when f is affine:
+    an AffineFactor, or an ElementaryFactor whose shift s0 + s1*t has
+    degree at most 1 (a shear plus a translation); None otherwise.  The
+    shift's form (d, {0: n0, 1: n1}) is canonical, so this one is too."""
+    if isinstance(f, AffineFactor):
+        return f._form
+    if f.shift.degree() > 1:
+        return None
+    d, n0, n1 = f.shift._d, f.shift._t.get(0, 0), f.shift._t.get(1, 0)
+    return (d, d, n1, 0, d, n0, 0) if f.axis == "first" else (d, d, 0, n1, d, 0, n0)
+
+
+def _compose_forms(a, b):
+    """The integer form of a o b: the product of the 3x3 matrices
+    [[M, c], [0, D]], reduced by one gcd, so it stays canonical."""
+    Da, a11, a12, a21, a22, a1, a2 = a
+    Db, b11, b12, b21, b22, b1, b2 = b
+    out = (Da * Db, a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+           a21 * b11 + a22 * b21, a21 * b12 + a22 * b22,
+           a11 * b1 + a12 * b2 + a1 * Db, a21 * b1 + a22 * b2 + a2 * Db)
+    g = gcd(*out)
+    return tuple(v // g for v in out)
+
+
 def apply_factors(factors, pair):
-    """Apply a factor word right to left to a pair of ring elements."""
+    """Apply a factor word right to left to a pair of ring elements.
+
+    A run of adjacent affine factors (see _affine_form) is one affine map,
+    as in van der Kulk's amalgamated product structure of Aut(k^2): the
+    product of their integer forms is applied once, through
+    _affine_image, and a run whose product is the identity is skipped.
+    Elementary factors of shift degree >= 2 apply one at a time."""
+    form = _IDENTITY  # the product of the pending run, applied first
     for f in reversed(tuple(factors)):
+        own = _affine_form(f)
+        if own is not None:
+            form = own if form == _IDENTITY else _compose_forms(own, form)
+            continue
+        if form != _IDENTITY:
+            pair, form = _form_image(pair, form), _IDENTITY
         pair = f.apply(pair)
-    return pair
+    return pair if form == _IDENTITY else _form_image(pair, form)
 
 
 def factorization_to_map(word: Factorization) -> PolyMap:

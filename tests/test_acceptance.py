@@ -51,12 +51,13 @@ from kellerkit import (
     polymap_on_param,
     prove_line,
     rectify,
+    restrict_to_line,
     similarity_check,
     verify_certificate,
 )
 from kellerkit import arith
 from kellerkit.cli import parse_bipoly, parse_unipoly
-from kellerkit.keller import Inverted
+from kellerkit.keller import Inverted, LineRestriction
 from kellerkit.tame import AffineFactor
 
 import pytest
@@ -201,12 +202,15 @@ def _criterion_5_draws(rng, count):
 
 def test_criterion_5_end_to_end_line_proofs():
     """200 (automorphism, line) pairs through the full pipeline: the
-    produced inverse cancels the map exactly on both sides.  For one
-    fixed map, twenty different lines all yield the same inverse."""
+    produced inverse cancels the map exactly on both sides, and the
+    recorded gamma, read off H o L, is restrict_to_line's substitution.
+    For one fixed map, twenty different lines all yield the same
+    inverse."""
     start = time.perf_counter()
     rng = random.Random(505)
     for H, line in _criterion_5_draws(rng, 200):
         inv, got_word, cert = prove_line(H, line)
+        assert cert.find(LineRestriction).gamma == restrict_to_line(H, line)[0]
         assert compose_map(inv, H).is_identity()
         assert compose_map(H, inv).is_identity()
         assert factorization_to_map(got_word) == H

@@ -62,6 +62,10 @@ GOLDEN_CASES = [
     ("rectify_parabola", ["rectify", "x^2", "x"]),
     ("prove_line_shear_json", ["prove-line", "x + y^2", "y", "--line", "0,1,0", "--json"]),
     ("prove_line_deg4_json", ["prove-line", DEG4_F, DEG4_G, "--line", "1,-1,2", "--json"]),
+    # An affine map: its inverted word A e A A, with a rational shear e,
+    # is one affine run, which tame.apply_factors applies as one form.
+    ("prove_line_affine_json",
+     ["prove-line", "54*x - 12*y + 16", "-43*x + 10*y - 31", "--line", "4/3,3,-4/3", "--json"]),
     ("gen_auto_seed42_json", ["gen-auto", "--seed", "42", "--factors", "4", "--json"]),
     # The inverse's powers take the packed product path.
     ("invert_deg16", ["invert", DEG16_F, DEG16_G]),
@@ -340,6 +344,17 @@ class TestCommands:
         assert out.startswith("DegreeTooLow:")
         assert main(["similar", "x^2", "y^2"]) == 2
         assert capsys.readouterr().out.startswith("JacobianNotConstant:")
+
+    @pytest.mark.parametrize("f, g, message", [
+        ("0", "x^2", "f is the zero polynomial, need deg f > 1"),
+        ("x^2", "0", "g is the zero polynomial, need deg g > 1"),
+    ], ids=["zero_f", "zero_g"])
+    def test_similar_degree_too_low(self, capsys, f, g, message):
+        # The zero polynomial is named, not its degree sentinel.
+        assert main(["similar", f, g]) == 2
+        assert capsys.readouterr().out == "DegreeTooLow: %s\n" % message
+        assert main(["similar", f, g, "--json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": "DegreeTooLow", "message": message}
 
     def test_similar_json_error_payload(self, capsys):
         assert main(["similar", "x", "y^3", "--json"]) == 2

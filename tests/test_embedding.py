@@ -12,6 +12,7 @@ from kellerkit import (
     BiPoly,
     ElementaryFactor,
     Factorization,
+    Line,
     NotAnEmbedding,
     Parametrization,
     PolyMap,
@@ -24,6 +25,7 @@ from kellerkit import (
     is_embedding,
     is_immersion,
     is_injective_param,
+    prove_line,
     rectify,
     resultant_y,
 )
@@ -339,6 +341,27 @@ class TestEmbeddingReport:
             "immersion": True,
             "witness": None,
         }
+
+    def test_last_curve_is_remembered(self, monkeypatch):
+        """is_embedding keeps its last answer by the identity of the curve:
+        the same object gets the identical report without a second test, an
+        equal but distinct curve is decided afresh, and a line proof, where
+        prove_line and rectify both ask, runs is_injective_param once."""
+        calls = []
+        inner = embedding.is_injective_param
+        monkeypatch.setattr(embedding, "is_injective_param",
+                            lambda gamma: calls.append(gamma) or inner(gamma))
+        gamma = curve({2: 1}, {1: 1})
+        report = is_embedding(gamma)
+        assert is_embedding(gamma) is report
+        assert len(calls) == 1
+        twin = is_embedding(curve({2: 1}, {1: 1}))
+        assert twin == report and twin is not report
+        assert len(calls) == 2
+        calls.clear()
+        H = PolyMap(BiPoly.x() + BiPoly.y() ** 2, BiPoly.y())
+        prove_line(H, Line(1, -1, 2))
+        assert len(calls) == 1
 
     def test_tame_images_of_axis_are_embeddings(self, rng):
         for _ in range(8):

@@ -340,6 +340,77 @@ class TestFactorization:
         assert word.render() == "affine (2*x, 3*y)\nelementary (x + y, y)"
 
 
+def _random_fold_word(rng):
+    """A word mixing affine factors with rational coefficients, rational
+    shears of degree <= 1 on both axes, shifts of degree >= 2, and A, A^-1
+    pairs, whose runs fold to the identity."""
+    word = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            word.append(_random_affine_factor(rng))
+        elif kind == 1:
+            shift = UniPoly({1: random_fraction(rng, 5), 0: random_fraction(rng, 5)})
+            word.append(ElementaryFactor(rng.choice(("first", "second")), shift))
+        elif kind == 2:
+            shift = UniPoly({rng.randint(2, 3): rng.randint(1, 3), 1: random_fraction(rng, 3)})
+            word.append(ElementaryFactor(rng.choice(("first", "second")), shift))
+        else:
+            A = _random_affine_factor(rng)
+            word += [A, A.inverse()]
+    return word
+
+
+def _random_affine_factor(rng):
+    while True:
+        a = [random_fraction(rng, 4) for _ in range(6)]
+        if a[0] * a[3] - a[1] * a[2]:
+            return AffineFactor(*a)
+
+
+def _one_at_a_time(factors, pair):
+    for f in reversed(factors):
+        pair = f.apply(pair)
+    return pair
+
+
+class TestAffineRunFold:
+    """apply_factors applies each run of affine factors and degree-<= 1
+    shears as one integer form: the same answer as factor by factor."""
+
+    def test_fold_matches_factor_by_factor(self, rng):
+        t = UniPoly.x()
+        for _ in range(60):
+            word = _random_fold_word(rng)
+            pairs = [
+                (random_bipoly(rng, 2, 4), random_bipoly(rng, 2, 4)),
+                (random_unipoly(rng, 3, 4), t),
+                (random_fraction(rng), random_fraction(rng)),
+            ]
+            for pair in pairs:
+                assert apply_factors(word, pair) == _one_at_a_time(word, pair)
+
+    def test_inverse_pairs_fold_away(self, rng):
+        A = _random_affine_factor(rng)
+        shear = ElementaryFactor("second", UniPoly({1: Fraction(2, 3), 0: 5}))
+        pair = (x() + y() ** 2, y())
+        with mock.patch.object(tame, "_affine_image", wraps=tame._affine_image) as spy:
+            assert apply_factors((A, shear, shear.inverse(), A.inverse()), pair) == pair
+        assert spy.call_count == 0
+
+    def test_one_image_per_run(self):
+        """e A A E4 A A: the first three factors are one run, the last two
+        another, so _affine_image runs twice."""
+        e = ElementaryFactor("first", UniPoly({1: Fraction(1, 3), 0: -2}))
+        A, B = AffineFactor(2, 1, 1, 1, 3, 0), AffineFactor(0, 1, 1, Fraction(1, 2), 0, -1)
+        E4 = ElementaryFactor("second", UniPoly({4: 1, 0: 1}))
+        word = (e, A, B, E4, A, B)
+        with mock.patch.object(tame, "_affine_image", wraps=tame._affine_image) as spy:
+            got = apply_factors(word, (x(), y()))
+        assert spy.call_count == 2
+        assert got == _one_at_a_time(word, (x(), y()))
+
+
 class TestInvertLowDegree:
     def test_affine_only(self):
         H = PolyMap(2 * x() + 1, 3 * y())
