@@ -4,8 +4,11 @@ The Newton polygon of p is the convex hull of the exponent support of p
 together with the origin.  Hulls are computed by the monotone chain with
 exact cross products, so no epsilon appears anywhere.  A support's hull
 runs on its integer exponents, and only its vertices become exact
-rational points.  Degenerate hulls (a single point, a segment) are
-first-class polygons.
+rational points.  newton_polygon takes the hull on column extremes: the
+lowest and the highest exponent of y for each exponent of x, plus the
+origin; a point strictly between them lies on their segment, so the
+polygon is the hull of the whole support.  Degenerate hulls (a single
+point, a segment) are first-class polygons.
 
 Canonical vertex order: counterclockwise, starting at the lexicographically
 smallest vertex, with collinear intermediate points dropped.  Two polygons
@@ -110,10 +113,13 @@ class Polygon:
 
 def newton_polygon(p: BiPoly) -> Polygon:
     """Convex hull of the support of p together with the origin, taken on
-    the integer exponents."""
-    return Polygon._canonical(
-        (Fraction(i), Fraction(j)) for i, j in _hull(p.support() | {(0, 0)})
-    )
+    the integer exponents of the lowest and the highest y in each x
+    column: a point strictly between them lies on that segment, so it is
+    never a strict vertex."""
+    keys = sorted(p._t)
+    top, bottom = dict(keys), dict(reversed(keys))  # x -> highest, lowest y
+    points = {(0, 0), *top.items(), *bottom.items()}
+    return Polygon._canonical((Fraction(i), Fraction(j)) for i, j in _hull(points))
 
 
 def scale_polygon(p: Polygon, factor) -> Polygon:

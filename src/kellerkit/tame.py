@@ -13,7 +13,10 @@ must strictly drop its degree.  Once one component is affine, inversion
 is direct (invert_low_degree): that component, completed with y (with x
 when it has no x term), is an affine map A1^{-1}, and H o A1 is one
 elementary factor and one scaling.  _peel works on pairs of UniPoly as
-well, and embedding.rectify runs it on a curve's components.  Failure at
+well, and embedding.rectify runs it on a curve's components.  Both steps
+read integer numerators only, and one helper, _from_form, wraps a
+canonical integer form as an AffineFactor, for invert_low_degree and
+AffineFactor.inverse alike.  Failure at
 any step returns a NotAutomorphism value carrying the residual map; it is
 a result, not an exception, because "not an automorphism" is a
 legitimate answer.  A state that a constant Jacobian rules out (in
@@ -35,7 +38,7 @@ from .arith import (
     Substitution,
     UniPoly,
     _affine_image,
-    _cdiv,
+    _axpy,
     _norm_fields,
     _rat,
     _shift_image,
@@ -95,17 +98,13 @@ class AffineFactor(_FactorMap):
     def inverse(self) -> "AffineFactor":
         """D*adj(M) with translation -adj(M)*c, over det(M).  Its form is
         canonical: the sign of det(M) goes into the numerators and one gcd
-        reduces it, so repeated inversion never grows the integers.  Its
-        fields are normalized already, so it skips __post_init__."""
+        reduces it, so repeated inversion never grows the integers.  It is
+        wrapped by _from_form."""
         D, m11, m12, m21, m22, c1, c2 = self._form
         det = m11 * m22 - m12 * m21
         nums = (D * m22, -D * m12, -D * m21, D * m11, m12 * c2 - m22 * c1, m21 * c1 - m11 * c2)
         g = gcd(det, *nums) if det > 0 else -gcd(det, *nums)
-        form = (det // g, *[n // g for n in nums])
-        out = object.__new__(AffineFactor)
-        out.__dict__.update(zip(self.__dataclass_fields__, [_rat(n, form[0]) for n in form[1:]]),
-                            _form=form)
-        return out
+        return _from_form((det // g, *[n // g for n in nums]))
 
     def apply(self, pair):
         """Compose with a pair of ring elements: self o (P, Q), summed on
@@ -175,6 +174,16 @@ class Factorization:
 
     def to_json_list(self) -> list:
         return [f.to_json_dict() for f in self.factors]
+
+
+def _from_form(form) -> AffineFactor:
+    """The AffineFactor of a canonical integer form (D > 0, no common
+    factor), its fields read off the form: the one construction that
+    skips __post_init__, whose normalization the form already holds."""
+    out = object.__new__(AffineFactor)
+    out.__dict__.update(zip(AffineFactor.__dataclass_fields__,
+                            [_rat(n, form[0]) for n in form[1:]]), _form=form)
+    return out
 
 
 def _form_image(pair, form):
@@ -274,11 +283,15 @@ def _require_keller(H: PolyMap) -> BiPoly:
 
 
 def _affine(f: BiPoly, g: BiPoly) -> AffineFactor:
-    """The affine factor (f, g), for f and g of degree at most 1."""
-    return AffineFactor(
-        f.coeff(1, 0), f.coeff(0, 1), g.coeff(1, 0), g.coeff(0, 1),
-        f.coeff(0, 0), g.coeff(0, 0),
+    """The affine factor (f, g), for f and g of degree at most 1: their
+    numerators over the lcm L of their denominators.  That form is
+    canonical already: each prime power of L divides the denominator of
+    f or of g, whose numerators, all read, have one prime to it."""
+    L = lcm(f._d, g._d)
+    (m11, m12, c1), (m21, m22, c2) = (
+        [w._t.get(k, 0) * (L // w._d) for k in ((1, 0), (0, 1), (0, 0))] for w in (f, g)
     )
+    return _from_form((L, m11, m12, m21, m22, c1, c2))
 
 
 def invert_low_degree(H: PolyMap) -> Factorization:
@@ -294,6 +307,10 @@ def invert_low_degree(H: PolyMap) -> Factorization:
     so component low of H o A1 is coordinate low, and the constant Jacobian
     makes the other alpha times its own coordinate plus a shift in
     coordinate low.  A2 scales that slot by alpha; E adds shift/alpha.
+
+    _affine reads A1^{-1}'s form off numerators.  The triangular check
+    reads those of H o A1's other component, and shift/alpha is them over
+    alpha's numerator, its sign moved into them, reduced once.
     """
     _require_keller(H)
     pair = (H.first, H.second)
@@ -309,7 +326,7 @@ def invert_low_degree(H: PolyMap) -> Factorization:
     low = 0 if df == 1 else 1
     hi = 1 - low
     lin, xy = pair[low], (BiPoly.x(), BiPoly.y())
-    completion = xy[1] if lin.coeff(1, 0) else xy[0]
+    completion = xy[1] if (1, 0) in lin._t else xy[0]
     a1_inv = _affine(lin, completion) if low == 0 else _affine(completion, lin)
     sub = Substitution(*a1_inv.inverse().apply(xy))
     normal = [sub.apply(p) for p in pair]
@@ -317,13 +334,16 @@ def invert_low_degree(H: PolyMap) -> Factorization:
         raise TheoremViolationWitness(
             "normalization failed to fix the %s coordinate" % _AXES[low]
         )
-    main = normal[hi]
+    main, dm = normal[hi]._t, normal[hi]._d
     unit = (1, 0) if hi == 0 else (0, 1)
-    alpha = main.coeff(*unit)
-    if not alpha or any(e != unit and e[hi] for e in main.support()):
+    n = main.get(unit, 0)  # alpha = n/dm
+    if not n or any(e != unit and e[hi] for e in main):
         raise TheoremViolationWitness("constant Jacobian must force a triangular normalized map")
-    shift = UniPoly({e[low]: _cdiv(c, alpha) for e, c in main.terms() if not e[hi]})
-    a2 = AffineFactor(alpha, 0, 0, 1) if hi == 0 else AffineFactor(1, 0, 0, alpha)
+    sign = 1 if n > 0 else -1
+    shift = UniPoly._reduce({e[low]: sign * c for e, c in main.items() if not e[hi]}, sign * n)
+    g = gcd(n, dm)
+    n, d = n // g, dm // g
+    a2 = _from_form((d, n, 0, 0, d, 0, 0) if hi == 0 else (d, d, 0, 0, n, 0, 0))
     word = (a2, ElementaryFactor(_AXES[hi], shift), a1_inv)
     return Factorization(tuple(f for f in word if not f.is_identity()))
 
@@ -339,24 +359,49 @@ def _peel(a, b):
     (a', b'), ok) with apply_factors(factors, (a', b')) == (a, b), one
     elementary factor per step; ok is False when the reduction stopped
     with both degrees above 1.
+
+    A step works on numerators, hi = H/d_hi and lo = L/d_lo.  The graded
+    order is a monomial order, so lc(lo^d) = lc(lo)^d, and lam is
+    lc(H)*d_lo^d / (d_hi*lc(L)^d), its sign moved into the numerator and
+    reduced by one gcd: the shift's canonical form, with no scan of lo^d.
+    hi - lam*lo^d is one accumulator, reduced once.  The degrees are
+    carried from step to step, so a step scans only its result.
     """
     peeled: list[Factor] = []
-    while True:
-        da, db = a.total_degree(), b.total_degree()
-        if min(da, db) <= 1:
-            return tuple(peeled), (a, b), True
+    da, db = a.total_degree(), b.total_degree()
+    while min(da, db) > 1:
         first = da > db
         hi, lo, dh, dl = (a, b, da, db) if first else (b, a, db, da)
         if dh % dl:
-            return tuple(peeled), (a, b), False
+            break
         d = dh // dl
         power = lo**d
-        lam = _cdiv(hi.leading_term()[1], power.leading_term()[1])
-        reduced = hi - power * lam
-        if reduced.total_degree() >= dh:
-            return tuple(peeled), (a, b), False
-        peeled.append(ElementaryFactor("first" if first else "second", UniPoly({d: lam})))
-        a, b = (reduced, b) if first else (a, reduced)
+        n = _lead(hi, dh) * lo._d**d  # lam = n/m
+        m = hi._d * _lead(lo, dl) ** d
+        g = gcd(n, m) if m > 0 else -gcd(n, m)
+        n, m = n // g, m // g
+        D = lcm(hi._d, m * power._d)
+        acc = dict(hi._t) if D == hi._d else {k: v * (D // hi._d) for k, v in hi._t.items()}
+        _axpy(acc, -n * (D // (m * power._d)), power._t.items())
+        reduced = hi._reduce(acc, D)
+        dr = reduced.total_degree()
+        if dr >= dh:
+            break
+        peeled.append(ElementaryFactor("first" if first else "second", UniPoly._new({d: n}, m)))
+        if first:
+            a, da = reduced, dr
+        else:
+            b, db = reduced, dr
+    return tuple(peeled), (a, b), min(da, db) <= 1
+
+
+def _lead(p, deg: int) -> int:
+    """The leading numerator of p, of total degree deg, found by lookups:
+    at deg, or at the monomial of degree deg with the highest power of x."""
+    t = p._t
+    if isinstance(p, UniPoly):
+        return t[deg]
+    return next(t[k] for k in ((i, deg - i) for i in range(deg, -1, -1)) if k in t)
 
 
 def decide_automorphism(H: PolyMap):

@@ -73,6 +73,15 @@ DEG16_G = (
 )
 
 
+# A degree-8 tame map whose degree reduction takes four steps, with
+# lambda = -1, -2/3, 27/8 and 2/3: negative and non-integral leading
+# coefficients; tests/golden/is_auto_peel_rational_json.txt recognizes it.
+PEEL_F = (
+    "-81*y^8 - 108*x*y^6 - 54*x^2*y^4 - 12*x^3*y^2 + 18*y^5 - x^4 + 12*x*y^3"
+    " + 27/2*y^4 + 2*x^2*y + 9*x*y^2 + 3/2*x^2 + 2*y^2 + x - 3/2*y"
+)
+PEEL_G = "-9*y^4 - 6*x*y^2 - x^2 + y"
+
 # ---------------------------------------------------------------------------
 # Random object generators (plain random.Random; hypothesis is used only
 # for small structural properties, seeded suites use these).

@@ -44,7 +44,7 @@ from kellerkit.cli import (
 )
 from kellerkit.tame import AffineFactor
 
-from conftest import DEG16_F, DEG16_G, DEG4_F, DEG4_G, DENSE6_F, DENSE6_G
+from conftest import DEG16_F, DEG16_G, DEG4_F, DEG4_G, DENSE6_F, DENSE6_G, PEEL_F, PEEL_G
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -71,6 +71,8 @@ GOLDEN_CASES = [
     ("invert_deg16", ["invert", DEG16_F, DEG16_G]),
     # A dense non-Keller pair: the Jacobian takes the packed path.
     ("jac_dense_deg6", ["jac", DENSE6_F, DENSE6_G]),
+    # A four-step degree reduction with rational, negative leading coefficients.
+    ("is_auto_peel_rational_json", ["is-auto", PEEL_F, PEEL_G, "--json"]),
 ]
 
 

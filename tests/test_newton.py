@@ -18,6 +18,7 @@ from kellerkit import (
 )
 
 from conftest import draw_tame_word
+from test_acceptance import _criterion_1_maps
 
 
 def bp(*terms):
@@ -94,6 +95,45 @@ class TestHull:
             rational = {(Fraction(i), Fraction(j)) for i, j in pts | {(0, 0)}}
             assert poly == Polygon.from_points(rational)
             assert all(type(c) is Fraction for v in vs for c in v)
+
+    @pytest.mark.parametrize("polys", [
+        pytest.param(lambda: _random_supports(random.Random(31), 80), id="random"),
+        pytest.param(lambda: _criterion_1_polys(random.Random(101), 20), id="criterion_1"),
+        pytest.param(lambda: [bp(*((3, j, 1) for j in (1, 4, 6))),
+                              bp(*((0, j, -1) for j in (2, 3, 5))), bp((2, 5, 1))],
+                     id="single_column"),
+        pytest.param(lambda: [bp(*((i, 2, 1) for i in (1, 3, 4))), bp(*((i, 0, 2) for i in (0, 2, 7)))],
+                     id="single_row"),
+        pytest.param(lambda: [bp((0, 0, 1), (4, 0, -1), (2, 0, 1), (0, 3, 2), (0, 1, 1)),
+                              bp((5, 0, 1), (0, 2, 1))],
+                     id="axes"),
+        pytest.param(lambda: [BiPoly.zero()], id="zero"),
+    ])
+    def test_matches_the_full_support_hull(self, polys):
+        """newton_polygon hulls only the lowest and highest y of each x
+        column, plus the origin; the hull of the whole support is the same
+        polygon."""
+        for p in polys():
+            assert newton_polygon(p) == _full_support_hull(p)
+
+
+def _full_support_hull(p):
+    """The reference: the hull of p's whole support and the origin."""
+    return Polygon.from_points(p.support() | {(0, 0)})
+
+
+def _criterion_1_polys(rng, count):
+    """The components of criterion 1's maps, and of H(x, y^2)."""
+    for H in _criterion_1_maps(rng, count):
+        for p in (H.first, H.second):
+            yield p
+            yield BiPoly({(i, 2 * j): c for (i, j), c in p.terms()})
+
+
+def _random_supports(rng, count):
+    for _ in range(count):
+        yield BiPoly({(rng.randint(0, 8), rng.randint(0, 8)): rng.choice((-2, 1, 3))
+                      for _ in range(rng.randint(1, 16))})
 
 
 class TestPolygon:

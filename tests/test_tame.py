@@ -463,7 +463,29 @@ class TestInvertLowDegree:
         (PolyMap(2 * x() + 1, 3 * y()), "affine (2*x + 1, 3*y)"),
     ])
     def test_exact_words(self, H, rendered):
-        assert invert_low_degree(H).render() == rendered
+        word = invert_low_degree(H)
+        assert word.render() == rendered
+        _assert_integer_forms(H, word)
+
+    @pytest.mark.parametrize("H", [
+        # A linear component with fractional coefficients.
+        factorization_to_map(Factorization((
+            ElementaryFactor("first", UniPoly({3: Fraction(-5, 6), 1: 2, 0: Fraction(1, 4)})),
+            AffineFactor(Fraction(2, 3), Fraction(-5, 4), Fraction(1, 6), Fraction(3, 7),
+                         Fraction(1, 2), Fraction(-2, 5)),
+        ))),
+        # Negative alpha: -3, and -2/3 in the second slot.
+        PolyMap(-3 * x() + y() ** 2 - 1, y()),
+        PolyMap(x(), Fraction(-2, 3) * y() + x() ** 3 - x()),
+        # Linear components with no x term: completion by x.
+        PolyMap(x() + Fraction(1, 2) * y() ** 3, Fraction(-4, 3) * y() + 1),
+        PolyMap(Fraction(-3, 2) * y() + Fraction(1, 2), 5 * x() + y() ** 2),
+    ], ids=["fractional_linear", "negative_alpha", "negative_alpha_second",
+            "no_x_second", "no_x_first"])
+    def test_integer_forms_match_the_fraction_path(self, H):
+        word = invert_low_degree(H)
+        assert factorization_to_map(word) == H
+        _assert_integer_forms(H, word)
 
     def test_rejects_non_keller(self):
         with pytest.raises(PreconditionViolated) as exc:
@@ -499,6 +521,7 @@ class TestInvertLowDegree:
             E = _random_elementary(rng, "first")
             H = factorization_to_map(Factorization((E, A)))
             word = invert_low_degree(H)
+            _assert_integer_forms(H, word)
             assert factorization_to_map(word) == H
             inv = factorization_to_map(factorization_inverse(word))
             assert compose_map(inv, H).is_identity()
@@ -513,9 +536,60 @@ class TestInvertLowDegree:
             E = _random_elementary(rng, "first")
             H = factorization_to_map(Factorization((A, E)))
             word = invert_low_degree(H)
+            _assert_integer_forms(H, word)
             assert factorization_to_map(word) == H
             inv = factorization_to_map(factorization_inverse(word))
             assert compose_map(inv, H).is_identity()
+
+
+def _assert_integer_forms(H, word):
+    """invert_low_degree's word, built from integer forms, is the word of
+    the Fraction path factor by factor: each affine _form is the one
+    __post_init__ derives from the fields, and each shift's (_d, _t) that
+    of the UniPoly the public constructor builds from main.terms()."""
+    want = _invert_by_fractions(H)
+    assert word == want
+    for f, w in zip(word, want):
+        if isinstance(f, AffineFactor):
+            fields = [getattr(f, name) for name in f.__dataclass_fields__]
+            assert f._form == AffineFactor(*fields)._form == w._form
+        else:
+            assert (f.shift._d, f.shift._t) == (w.shift._d, w.shift._t)
+
+
+def _invert_by_fractions(H):
+    """invert_low_degree's word through coeff(), Fractions, terms() and the
+    public constructors, with A1 inverted over Fractions: the path the
+    integer forms replaced."""
+    pair = (H.first, H.second)
+    df, dg = (p.total_degree() for p in pair)
+    if max(df, dg) == 1:
+        word = (_affine_by_coeffs(*pair),)
+    else:
+        low = 0 if df == 1 else 1
+        hi = 1 - low
+        lin, xy = pair[low], (x(), y())
+        completion = xy[1] if lin.coeff(1, 0) else xy[0]
+        a1_inv = _affine_by_coeffs(*((lin, completion) if low == 0 else (completion, lin)))
+        main = compose_map(H, _inverse_by_fractions(a1_inv).to_map())
+        main = (main.first, main.second)[hi]
+        alpha = Fraction(main.coeff(*((1, 0) if hi == 0 else (0, 1))))
+        shift = UniPoly({e[low]: c / alpha for e, c in main.terms() if not e[hi]})
+        a2 = AffineFactor(alpha, 0, 0, 1) if hi == 0 else AffineFactor(1, 0, 0, alpha)
+        word = (a2, ElementaryFactor(("first", "second")[hi], shift), a1_inv)
+    return Factorization(tuple(f for f in word if not f.is_identity()))
+
+
+def _affine_by_coeffs(f, g):
+    return AffineFactor(f.coeff(1, 0), f.coeff(0, 1), g.coeff(1, 0), g.coeff(0, 1),
+                        f.coeff(0, 0), g.coeff(0, 0))
+
+
+def _inverse_by_fractions(A):
+    a, b, c, d, e, f = (Fraction(v) for v in (A.a11, A.a12, A.a21, A.a22, A.b1, A.b2))
+    det = a * d - b * c
+    m = (d / det, -b / det, -c / det, a / det)
+    return AffineFactor(*m, -(m[0] * e + m[1] * f), -(m[2] * e + m[3] * f))
 
 
 def _nonzero(rng):
@@ -645,27 +719,39 @@ class TestPeel:
 
     @pytest.mark.parametrize("cls", [UniPoly, BiPoly])
     def test_degree_drop_matches_the_leading_form_rule(self, rng, cls):
-        """_peel decides each step by the degree drop; the same factors,
-        residual and verdict as comparing leading forms first, on tame pairs,
-        random pairs, and pairs whose leading terms agree but whose leading
-        forms differ."""
-        seen = set()
+        """_peel decides each step by the degree drop and computes lam on
+        numerators; the same factors, residual and verdict as comparing
+        leading forms first, on tame pairs, random pairs, pairs whose low
+        components are scaled by rationals with negative and non-unit
+        leading coefficients, and pairs whose leading terms agree but whose
+        leading forms differ.  Each shift's integer form (_d, _t) is the
+        reference's, so lam's sign sits in its numerator."""
+        seen, lams = set(), set()
         for seed in range(150):
             if cls is UniPoly:
                 low = (random_unipoly(rng, 1, 4), random_unipoly(rng, 3, 4))
             else:
                 low = (random_bipoly(rng, 1, 4), random_bipoly(rng, 2, 4))
             word = random_tame(seed, rng.randint(0, 3), 3, 3, affine_probability=0)
-            pairs = [apply_factors(word, low), (low[1], low[1] ** 2 + low[0])]
+            scaled = tuple(p * rng.choice(_SCALES) for p in low)
+            pairs = [apply_factors(word, low), (low[1], low[1] ** 2 + low[0]),
+                     apply_factors(word, scaled), (scaled[1], scaled[1] ** 3 + scaled[0])]
             if cls is BiPoly:
                 pairs += [_unlike_leading_forms(rng), _unlike_leading_forms(rng)[::-1]]
             for a, b in pairs:
-                got = _peel(a, b)
-                assert got == _peel_by_leading_forms(a, b)
+                got, want = _peel(a, b), _peel_by_leading_forms(a, b)
+                assert got == want
+                for f, w in zip(got[0], want[0]):
+                    assert (f.shift._d, f.shift._t) == (w.shift._d, w.shift._t)
+                    lams.add(f.shift.lc())
                 seen.add((got[2], len(got[0]) > 0))
         assert (True, True) in seen
+        assert any(lam < 0 and type(lam) is Fraction for lam in lams)
         if cls is BiPoly:
             assert (False, True) in seen and (False, False) in seen
+
+
+_SCALES = (Fraction(-2, 3), Fraction(5, 7), Fraction(-7, 4), Fraction(3, 5), -3)
 
 
 def _leading_form(p):
