@@ -6,9 +6,11 @@ valid over any extension field, not just the rationals:
 
 * injectivity fails exactly when the difference quotients
   D_p(s, t) = (p(s) - p(t)) / (s - t) and D_q share a zero over the
-  algebraic closure, decided by one subresultant sequence on rows in y
-  packed into ints straight off p's and q's numerators, whose suffix sums
-  also give the cell bound (subresultant.py).
+  algebraic closure, decided by the resultant of rows in y packed into
+  ints straight off p's and q's numerators, whose suffix sums also give
+  the cell bound (subresultant.py).  For p and q of degree at most 3 it
+  is a closed-form determinant; otherwise, or when that determinant is 0,
+  one subresultant sequence runs.
   Its output is unpacked once: the resultant, or for a shared component
   the last remainder, whose primitive part is the gcd witness.
   Degenerate components are decided from degrees, and a BiPoly quotient

@@ -22,6 +22,20 @@ arith._primitive_part turns into the gcd's primitive part.  Rows in Z[x]
 are {i: n} term dicts, as in BiPoly._t; gcd_univariate's rows are
 constants, ints already.
 
+A Sylvester matrix of size at most 4, both operands of 2 or 3 rows, skips
+the sequence: _sylvester computes its determinant in closed form on the
+packed ints, from the coefficients a_i of y^i in f and b_i in g:
+
+    rows 2 and 2:  a1*b0 - a0*b1
+    rows 3 and 2:  a2*b0^2 - a1*b1*b0 + a0*b1^2
+    rows 3 and 3:  (a2*b0 - a0*b2)^2 - (a2*b1 - a1*b2)*(a1*b0 - a0*b1)
+
+the last Bezout's.  x -> X is a ring map, so the determinant of the
+packed rows is the packed resultant, whose coefficients are at most M_0;
+and m - n <= 1, so cells[0] is M_0's cells, where a nonzero resultant
+never packs to 0 and unpacks exactly.  A zero determinant means a shared
+component, and the sequence runs as before to find its gcd.
+
 Each pseudo-division (_prem) by a g of k rows updates only the window
 of k - 1 rows under g at each of its d + 1 steps, d = m - n, and gives a
 row its power of lc(g) once, as it enters the window: (d + 1)(k - 1) + d
@@ -82,17 +96,38 @@ def _prem(f: list[int], g: list[int]) -> list[int]:
     return [lc * x - a * v for x, v in zip(w, tail)]
 
 
+def _sylvester(f: list[int], g: list[int]) -> int:
+    """The determinant of the Sylvester matrix of rows f and g, highest
+    first, with f on top, 3 >= len(f) >= len(g) >= 2, in closed form."""
+    if len(f) == 2:
+        (a1, a0), (b1, b0) = f, g
+        return a1 * b0 - a0 * b1
+    a2, a1, a0 = f
+    if len(g) == 2:
+        b1, b0 = g
+        return a2 * b0 * b0 - a1 * b1 * b0 + a0 * b1 * b1
+    b2, b1, b0 = g
+    u = a2 * b0 - a0 * b2
+    return u * u - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1)
+
+
 def _subresultants(f: list[int], g: list[int], cells: tuple[int, int]):
     """Subresultant remainder sequence of nonzero rows f and g packed at
     cells[0], in either order; rows of constants pass (0, 0).
 
     Returns (h, s), packed at cells[1]: the last nonzero remainder and,
     when h has degree 0, the resultant, with the sign of the Sylvester
-    matrix with f on top.
+    matrix with f on top.  A degree-0 h, for a nonzero resultant, stands
+    for the gcd 1: callers read only its degree (gcd_univariate and
+    gcd_bivariate make it monic), so the closed forms return [resultant].
     """
     sign = -1 if len(f) < len(g) and (len(f) - 1) * (len(g) - 1) % 2 else 1
     if len(f) < len(g):
         f, g = g, f
+    if 2 <= len(g) and len(f) <= 3:
+        det = _sylvester(f, g)
+        if det:
+            return [det], sign * det
     d = len(f) - len(g)
     b, c = (-1) ** (d + 1), -1  # Collins' beta and psi
     while True:

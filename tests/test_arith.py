@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: polynomials, maps, resultants."""
 
+import contextlib
 import random
 import time
 from fractions import Fraction
@@ -49,12 +50,14 @@ from conftest import (
     DEG4_G,
     assert_bipoly_equal_by_eval,
     compose_uni,
+    det_cofactor,
     eval_bipoly_naive,
     eval_unipoly_naive,
     random_bipoly,
     random_fraction,
     random_unipoly,
     resultant_oracle,
+    sylvester_matrix,
 )
 
 coeffs = st.one_of(
@@ -1605,6 +1608,19 @@ def _prem_full_pass(f, g):
     return r
 
 
+@contextlib.contextmanager
+def _prem_spy():
+    """Patches subresultant._prem to count its calls in the list it yields."""
+    prem, calls = subresultant._prem, []
+
+    def counted(f, g):
+        calls.append(1)
+        return prem(f, g)
+
+    with mock.patch.object(subresultant, "_prem", counted):
+        yield calls
+
+
 class TestPackedSequence:
     """The subresultant sequence on rows packed into ints, through
     resultant_y, gcd_bivariate and gcd_univariate, against the Sylvester
@@ -1734,6 +1750,89 @@ class TestPackedSequence:
         with mock.patch.object(subresultant, "_prem", off_by_one):
             with pytest.raises(ValueError, match="inexact"):
                 resultant_y(p, q)
+
+    # Sylvester matrices up to 4 by 4, rows of lengths 2 and 3, take
+    # subresultant._sylvester's closed forms: the cofactor determinant in
+    # value and sign, no pseudo-division when it is nonzero, and the
+    # sequence's gcd when it is zero.
+    SMALL = [(1, 1), (2, 1), (1, 2), (2, 2)]
+
+    @staticmethod
+    def _cofactor(f, g, nb):
+        """The cofactor Sylvester determinant of rows f and g, f on top,
+        packed at nb (plain ints for nb = 0), as a UniPoly."""
+        def row(v):
+            return UniPoly(digits(v, nb) if nb else {0: v})
+
+        return det_cofactor(sylvester_matrix([row(v) for v in f], [row(v) for v in g]))
+
+    @pytest.mark.parametrize("lf, lg", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_closed_form_on_ints_matches_cofactors(self, rng, lf, lg):
+        def rows(k):
+            return [rng.choice((1, -1)) * rng.randint(1, 2**40)] + [
+                rng.choice((0, 1, -1, rng.randint(-2**40, 2**40))) for _ in range(k - 1)]
+
+        nonzero = 0
+        for _ in range(200):
+            f, g = rows(lf), rows(lg)
+            for a, b in ((f, g), (g, f)):
+                want = self._cofactor(a, b, 0).coeff(0)
+                h, s = subresultant._subresultants(a, b, (0, 0))
+                if want:
+                    nonzero += 1
+                    assert (h, s) == ([want], want)
+                else:  # a shared root: the sequence's gcd, of degree >= 1
+                    assert len(h) > 1
+        assert nonzero > 300
+
+    @pytest.mark.parametrize("dp, dq", SMALL)
+    def test_closed_form_on_packed_rows_matches_cofactors(self, rng, dp, dq):
+        for _ in range(20):
+            p, q = _integer_pair_poly(rng, dp, bound=2**20), _integer_pair_poly(rng, dq)
+            for a, b in ((p, q), (q, p)):
+                F, G, cells = _pack_rows(arith._rows(a)[0], arith._rows(b)[0])
+                assert cells[0] == cells[1]
+                h, s = subresultant._subresultants(F, G, cells)
+                want = self._cofactor(F, G, cells[0])
+                assert want and want == resultant_oracle(a, b)
+                assert h == [s] and UniPoly(digits(s, cells[1])) == want
+
+    @pytest.mark.parametrize("dp, dq", SMALL)
+    def test_nonzero_small_determinant_runs_no_pseudo_division(self, rng, dp, dq):
+        pairs = [(_integer_pair_poly(rng, dp), _integer_pair_poly(rng, dq)) for _ in range(10)]
+        plain = [(random_unipoly(rng, 0, 9, nonzero=True) + UniPoly({dp: 2, 0: 1}),
+                  UniPoly({dq: 3, 1: -1, 0: 5})) for _ in range(10)]
+        with _prem_spy() as calls:
+            for p, q in pairs:
+                assert resultant_y(p, q) == resultant_oracle(p, q) != UniPoly.zero()
+            for u, v in plain:
+                assert gcd_univariate(u, v) == _euclid_gcd(u, v) == UniPoly.one()
+        assert calls == []
+
+    def test_zero_and_six_by_six_determinants_run_the_sequence(self, rng):
+        g = BiPoly({(0, 1): 2, (1, 0): -3, (0, 0): 1})  # 2y - 3x + 1
+        p, q = g * _integer_pair_poly(rng, 1, dx=1), g * BiPoly({(2, 0): 1, (0, 0): 5})
+        with _prem_spy() as calls:
+            assert resultant_y(p, q).is_zero()
+        assert calls
+        p, q = _integer_pair_poly(rng, 3), _integer_pair_poly(rng, 3)
+        with _prem_spy() as calls:
+            assert resultant_y(p, q) == resultant_oracle(p, q)
+        assert calls
+
+    def test_planted_common_factors_in_small_matrices(self, rng):
+        for _ in range(20):
+            g = _integer_pair_poly(rng, 1, dx=2)
+            a = g * _integer_pair_poly(rng, rng.randint(0, 1), dx=1)
+            b = g * _integer_pair_poly(rng, rng.randint(0, 1), dx=1)
+            F, G, _ = _pack_rows(arith._rows(a)[0], arith._rows(b)[0])
+            assert subresultant._sylvester(*sorted((F, G), key=len, reverse=True)) == 0
+            assert resultant_y(a, b).is_zero()
+            assert gcd_bivariate(a, b) == gcd_bivariate(b, a) == g.monic()
+            w = UniPoly({1: rng.choice((1, -1)) * rng.randint(1, 99), 0: rng.randint(-99, 99)})
+            p = w * random_unipoly(rng, 1, 2**30, nonzero=True)
+            q = w * UniPoly({1: rng.randint(1, 99), 0: rng.randint(-99, 99)})
+            assert gcd_univariate(p, q) == gcd_univariate(q, p) == w.monic()
 
 
 class TestGcdBivariate:

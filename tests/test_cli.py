@@ -59,6 +59,9 @@ GOLDEN_CASES = [
     # Not injective: the witness is a degree-26 resultant with multi-byte cells.
     ("embed_check_deg12_json",
      ["embed-check", "x^12 + 3*x^9 + 3*x^6 + x^3 + x", "x^4 - x^2", "--json"]),
+    # D_q = 2*D_p and q' = 2*p': zero closed-form determinants, so the
+    # sequence runs on to the shared component and the gcd witness.
+    ("embed_check_shared_cubic_json", ["embed-check", "x^3 + x", "2*x^3 + 2*x", "--json"]),
     ("rectify_parabola", ["rectify", "x^2", "x"]),
     ("prove_line_shear_json", ["prove-line", "x + y^2", "y", "--line", "0,1,0", "--json"]),
     ("prove_line_deg4_json", ["prove-line", DEG4_F, DEG4_G, "--line", "1,-1,2", "--json"]),

@@ -29,7 +29,7 @@ from kellerkit import (
     rectify,
     resultant_y,
 )
-from kellerkit import arith, embedding
+from kellerkit import arith, embedding, subresultant
 from kellerkit.arith import _rows
 from kellerkit.embedding import Check, _quotient_rows, _row_squares
 from kellerkit.kronecker import cell_bytes, digits
@@ -300,6 +300,27 @@ class TestImmersion:
         check = is_immersion(curve({2: 1}, {}))
         assert not check.ok
         assert check.witness == UniPoly.x()
+
+    @pytest.fixture
+    def prem_calls(self, monkeypatch):
+        """The calls of subresultant._prem, one list entry each."""
+        calls, prem = [], subresultant._prem
+        monkeypatch.setattr(subresultant, "_prem", lambda f, g: calls.append(1) or prem(f, g))
+        return calls
+
+    def test_cubic_with_coprime_derivatives(self, prem_calls):
+        # p' = 3t^2 + 1 and q' = 3t^2 + 4t: two rows of 3, a nonzero 4 by 4
+        # Sylvester determinant in closed form and no pseudo-division.
+        assert is_immersion(curve({3: 1, 1: 1}, {3: 1, 2: 2})).ok
+        assert prem_calls == []
+
+    def test_cubic_with_derivatives_sharing_a_root(self, prem_calls):
+        # p' = 3t^2 - 3 and q' = 6t^2 - 6t share t = 1: a zero determinant,
+        # and the sequence gives the gcd witness.
+        check = is_immersion(curve({3: 1, 1: -3}, {3: 2, 2: -3}))
+        assert not check.ok
+        assert check.witness == UniPoly({1: 1, 0: -1})
+        assert prem_calls
 
 
 class TestEmbeddingReport:
